@@ -68,6 +68,7 @@ SMOKE_SUITES = (
     ("pr@twitter-sim@sem", "twitter-sim", "pr", ExecutionMode.SEMI_EXTERNAL, "v1"),
     ("wcc@twitter-sim@sem", "twitter-sim", "wcc", ExecutionMode.SEMI_EXTERNAL, "v1"),
     ("pr@twitter-sim@sem@v2", "twitter-sim", "pr", ExecutionMode.SEMI_EXTERNAL, "v2"),
+    ("bfs@twitter-sim@sem@v2", "twitter-sim", "bfs", ExecutionMode.SEMI_EXTERNAL, "v2"),
 )
 
 

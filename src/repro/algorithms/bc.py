@@ -55,6 +55,26 @@ class _ForwardProgram(VertexProgram):
             self.sigma[vertex] = value
             g.activate(np.asarray([vertex]))
 
+    # -- batched fast path (observationally identical to the scalar
+    # methods above) ----------------------------------------------------
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.request_self_batch(vertices, EdgeType.OUT)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        g.send_message_batch(
+            batch.read_edges_concat(),
+            batch.repeat(self.sigma[batch.vertices]),
+            batch.degrees,
+        )
+
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+        fresh = self.dist[dests] == -1
+        reached = dests[fresh]
+        self.dist[reached] = g.iteration + 1
+        self.sigma[reached] = values[fresh]
+        return fresh
+
 
 class _BackwardProgram(VertexProgram):
     """Dependency accumulation, one BFS level per iteration, far to near."""
@@ -95,6 +115,27 @@ class _BackwardProgram(VertexProgram):
 
     def run_on_message(self, g: GraphContext, vertex: int, value: float) -> None:
         self.delta[vertex] += self.sigma[vertex] * value
+
+    # -- batched fast path (observationally identical to the scalar
+    # methods above) ----------------------------------------------------
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.notify_iteration_end()
+        g.request_self_batch(vertices[self.dist[vertices] > 0], EdgeType.IN)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        parents = batch.read_edges_concat()
+        g.charge_edges_batch(2 * batch.degrees)
+        vertices = batch.vertices
+        on_path = self.dist[parents] == batch.repeat(self.dist[vertices] - 1)
+        counts = batch.count_per_list(on_path)
+        # Every requester has dist > 0, hence sigma >= 1.
+        shares = (1.0 + self.delta[vertices]) / self.sigma[vertices]
+        g.send_message_batch(parents[on_path], np.repeat(shares, counts), counts)
+
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+        self.delta[dests] += self.sigma[dests] * values
+        return np.zeros(dests.size, dtype=bool)
 
     def run_on_iteration_end(self, g: GraphContext) -> None:
         next_level = self.max_level - g.iteration - 1

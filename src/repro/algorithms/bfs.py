@@ -43,6 +43,18 @@ class BFSProgram(VertexProgram):
     def run_on_vertex(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
         g.activate(page_vertex.read_edges())
 
+    # -- batched fast path (observationally identical to the scalar
+    # methods above) ----------------------------------------------------
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        fresh = vertices[~self.visited[vertices]]
+        self.visited[fresh] = True
+        self.level[fresh] = g.iteration
+        g.request_self_batch(fresh)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        g.activate_batch(batch.read_edges_concat(), batch.degrees)
+
     @property
     def num_visited(self) -> int:
         """Vertices reached from the source."""
@@ -104,6 +116,34 @@ class DirectionOptimizingBFSProgram(BFSProgram):
             self.visited[vertex] = True
             self.level[vertex] = g.iteration
             self._adopted += 1
+
+    # -- batched fast path: its own hooks, not BFSProgram's top-down ones.
+    # ``_bottom_up`` only flips at the barrier, so every list of a wave
+    # has the direction the flag names.  An adoption sets ``level`` to
+    # the current iteration, which the probe condition never matches, so
+    # the lists of a wave are independent. ----------------------------
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.notify_iteration_end()
+        fresh = vertices[~self.visited[vertices]]
+        if self._bottom_up:
+            g.request_self_batch(fresh, EdgeType.IN)
+            return
+        self.visited[fresh] = True
+        self.level[fresh] = g.iteration
+        self._frontier_size += int(fresh.size)
+        g.request_self_batch(fresh, EdgeType.OUT)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        if not self._bottom_up:
+            g.activate_batch(batch.read_edges_concat(), batch.degrees)
+            return
+        parents = batch.read_edges_concat()
+        joined = self.visited[parents] & (self.level[parents] == g.iteration - 1)
+        adopted = batch.vertices[batch.count_per_list(joined) > 0]
+        self.visited[adopted] = True
+        self.level[adopted] = g.iteration
+        self._adopted += int(adopted.size)
 
     def run_on_iteration_end(self, g: GraphContext) -> None:
         if self._bottom_up:

@@ -61,6 +61,25 @@ class _ColorProgram(VertexProgram):
             self.color[vertex] = color
             g.activate(np.asarray([vertex]))
 
+    # -- batched fast path (observationally identical to the scalar
+    # methods above) ----------------------------------------------------
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.request_self_batch(vertices[self.scc[vertices] == UNASSIGNED], EdgeType.OUT)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        neighbors = batch.read_edges_concat()
+        live = self.scc[neighbors] == UNASSIGNED
+        counts = batch.count_per_list(live)
+        colors = self.color[batch.vertices].astype(np.float64)
+        g.send_message_batch(neighbors[live], np.repeat(colors, counts), counts)
+
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+        colors = values.astype(np.int64)
+        better = (self.scc[dests] == UNASSIGNED) & (colors > self.color[dests])
+        self.color[dests[better]] = colors[better]
+        return better
+
 
 class _ClaimProgram(VertexProgram):
     """Backward sweep from each color root, restricted to the color."""
@@ -93,6 +112,26 @@ class _ClaimProgram(VertexProgram):
         if self.scc[vertex] == UNASSIGNED and self.color[vertex] == color:
             self.scc[vertex] = color
             g.activate(np.asarray([vertex]))
+
+    # -- batched fast path (observationally identical to the scalar
+    # methods above) ----------------------------------------------------
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.request_self_batch(vertices, EdgeType.IN)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        parents = batch.read_edges_concat()
+        mine = batch.repeat(self.color[batch.vertices])
+        keep = (self.scc[parents] == UNASSIGNED) & (self.color[parents] == mine)
+        g.send_message_batch(
+            parents[keep], mine[keep].astype(np.float64), batch.count_per_list(keep)
+        )
+
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+        colors = values.astype(np.int64)
+        claimed = (self.scc[dests] == UNASSIGNED) & (self.color[dests] == colors)
+        self.scc[dests[claimed]] = colors[claimed]
+        return claimed
 
 
 def scc(engine: GraphEngine, max_rounds: int = 10_000) -> Tuple[np.ndarray, RunResult]:

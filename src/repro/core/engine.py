@@ -325,10 +325,15 @@ class GraphEngine:
         self._pending_batches: List[Tuple[np.ndarray, EdgeType]] = []
         self._part_queue: Deque[Tuple[int, np.ndarray, EdgeType, bool]] = deque()
         self._attr_waiting: set = set()
-        # Per-delivery message counts reported by the last
-        # ``send_message_batch`` call (the engine replays the per-list
-        # send charges from these).
-        self._batch_msg_counts: Optional[np.ndarray] = None
+        # State of the ``run_on_vertices`` wave in flight: its list count
+        # (``None`` outside the hook, which is how the batched context
+        # calls reject misuse), the per-list counts of its one send-slot
+        # call (``send_message_batch`` or ``activate_batch``) and its
+        # ``charge_edges_batch`` extra edges.  ``_deliver_batch`` replays
+        # the per-list charges from these.
+        self._wave_lists: Optional[int] = None
+        self._wave_send_counts: Optional[np.ndarray] = None
+        self._wave_extra_edges: Optional[np.ndarray] = None
         # file_id -> the file's bytes viewed as little-endian u32 words
         # (zero-copy edge gathering in the semi-external fast path).
         self._file_words: Dict[int, np.ndarray] = {}
@@ -471,7 +476,7 @@ class GraphEngine:
         self._part_queue.clear()
         self._attr_waiting.clear()
         self._activations.clear()
-        self._batch_msg_counts = None
+        self._end_wave()
         if self._messages is not None:
             self._messages.clear()
         if record_fault:
@@ -1153,28 +1158,30 @@ class GraphEngine:
     ) -> None:
         """Run ``run_on_vertices`` once, then replay the per-list clock
         updates of the scalar delivery loop: the wait clamp to each list's
-        completion time, the send charge its messages would have incurred,
-        the ``run_on_vertex`` charge and (under format v2) the per-byte
+        completion time, the send (or activation) charge its
+        ``send_message``/``activate`` call would have incurred, the
+        ``run_on_vertex`` charge over its degree plus any
+        ``charge_edges`` extra edges, and (under format v2) the per-byte
         decode charge — same values, same order, so worker clocks land on
         identical bits."""
         num_lists = batch.num_lists
         if num_lists == 0:
             return
         cm = self.cost_model
-        self._batch_msg_counts = None
-        self.program.run_on_vertices(self._ctx, batch)
-        counts = self._batch_msg_counts
-        self._batch_msg_counts = None
-        if counts is None:
-            count_list = [0] * num_lists
+        self._wave_lists = num_lists
+        try:
+            self.program.run_on_vertices(self._ctx, batch)
+            counts = self._wave_send_counts
+            extra = self._wave_extra_edges
+        finally:
+            self._end_wave()
+        count_list = [0] * num_lists if counts is None else counts.tolist()
+        if extra is None:
+            degree_list = batch.degrees.tolist()
         else:
-            if counts.size != num_lists:
-                raise ValueError(
-                    "send_message_batch counts must have one entry per "
-                    f"delivered list ({counts.size} != {num_lists})"
-                )
-            count_list = counts.tolist()
-        degree_list = batch.degrees.tolist()
+            # ``_deliver_edge_list`` prices degree + extra edges as one
+            # integer, so the sum is formed before the multiply.
+            degree_list = (batch.degrees + extra).tolist()
         time_list = times.tolist() if times is not None else None
         size_list = decode_sizes.tolist() if decode_sizes is not None else None
         rate = cm.cpu_per_multicast_recipient
@@ -1408,6 +1415,43 @@ class GraphEngine:
         run)."""
         self._pending_batches.append((vertices, edge_type))
 
+    def _end_wave(self) -> None:
+        self._wave_lists = None
+        self._wave_send_counts = None
+        self._wave_extra_edges = None
+
+    def _wave_counts(self, call: str, counts) -> np.ndarray:
+        """Validate one batched context call's per-list ``counts``."""
+        num_lists = self._wave_lists
+        if num_lists is None:
+            raise RuntimeError(f"{call} is only valid inside run_on_vertices")
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (num_lists,):
+            raise ValueError(
+                f"{call} counts must have one entry per delivered list "
+                f"({counts.size} != {num_lists})"
+            )
+        return counts
+
+    def _claim_send_slot(self, call: str, counts, total: int) -> None:
+        """Record the wave's one send-slot call (messages or activations).
+
+        The scalar path charges ``send_message`` and ``activate`` as two
+        separate float adds; one summed count per list cannot reproduce
+        that, so a wave may make only one of these calls, once."""
+        counts = self._wave_counts(call, counts)
+        if self._wave_send_counts is not None:
+            raise RuntimeError(
+                f"{call}: a run_on_vertices wave makes at most one "
+                "send_message_batch or activate_batch call"
+            )
+        if int(counts.sum()) != total:
+            raise ValueError(
+                f"{call} counts sum to {int(counts.sum())}, but {total} "
+                "destinations were given"
+            )
+        self._wave_send_counts = counts
+
     def _buffer_message_batch(
         self, dests: np.ndarray, values: np.ndarray, counts: np.ndarray
     ) -> None:
@@ -1418,11 +1462,27 @@ class GraphEngine:
         charged here.  Buffer content at the barrier is identical to the
         per-list ``send_message`` calls (chunk granularity never changes
         the concatenation)."""
-        counts = np.asarray(counts, dtype=np.int64)
-        self._batch_msg_counts = counts
+        dests = np.atleast_1d(np.asarray(dests))
+        self._claim_send_slot("send_message_batch", counts, dests.size)
         total = self._messages.send(dests, values)
         if total:
             self.stats.add(reg.MSG_SENT, total)
+
+    def _buffer_activation_batch(self, vertices: np.ndarray, counts) -> None:
+        """Buffer one delivered wave's activations in a single chunk; the
+        per-list ``activate`` charges are replayed from ``counts``."""
+        vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
+        self._claim_send_slot("activate_batch", counts, vertices.size)
+        self._activations.append(vertices)
+        self.stats.add(reg.MSG_ACTIVATIONS, vertices.size)
+
+    def _charge_edges_batch(self, counts) -> None:
+        counts = self._wave_counts("charge_edges_batch", counts)
+        if self._wave_extra_edges is not None:
+            raise RuntimeError(
+                "charge_edges_batch called twice in one run_on_vertices wave"
+            )
+        self._wave_extra_edges = counts
 
     def _buffer_activation(self, vertices: np.ndarray) -> None:
         self._activations.append(vertices)

@@ -3,7 +3,8 @@
 Research users of a graph engine need more than end-to-end numbers: how
 the frontier evolved, where the bytes went, when the cache warmed up.
 An :class:`IterationTracer` hooks an engine run and records one row per
-iteration, exportable as CSV for plotting.
+iteration (one per priority round under async execution), exportable as
+CSV for plotting.
 
 Usage::
 
@@ -15,9 +16,12 @@ Usage::
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.engine import GraphEngine
+
+#: The engine methods that run one sync iteration / one async round.
+_HOOKED = ("_run_iteration", "_run_round")
 
 
 @dataclass(frozen=True)
@@ -40,24 +44,27 @@ class IterationTracer:
     def __init__(self, engine: GraphEngine) -> None:
         self.engine = engine
         self.records: List[IterationRecord] = []
-        self._original = None
-        self._last_snapshot: Optional[dict] = None
 
     def __enter__(self) -> "IterationTracer":
         self.records.clear()
-        self._original = self.engine._run_iteration
-        tracer = self
+        # Sync runs step through ``_run_iteration``, async runs through
+        # ``_run_round``; both are hooked so either mode records one row
+        # per iteration/round.
+        for name in _HOOKED:
+            setattr(self.engine, name, self._traced(getattr(self.engine, name)))
+        return self
 
-        def traced(frontier, scheduler):
-            before = tracer.engine.stats.snapshot()
-            tracer._original(frontier, scheduler)
-            delta = tracer.engine.stats.diff(before)
-            end_time = max(
-                (w.time for w in tracer.engine._workers), default=0.0
-            )
-            tracer.records.append(
+    def _traced(self, original):
+        engine = self.engine
+
+        def traced(frontier, *args):
+            before = engine.stats.snapshot()
+            original(frontier, *args)
+            delta = engine.stats.diff(before)
+            end_time = max((w.time for w in engine._workers), default=0.0)
+            self.records.append(
                 IterationRecord(
-                    iteration=tracer.engine.iteration,
+                    iteration=engine.iteration,
                     active_vertices=int(frontier.size),
                     edges_delivered=int(delta.get("engine.edges_delivered", 0)),
                     io_requests=int(delta.get("engine.io_requests", 0)),
@@ -68,18 +75,18 @@ class IterationTracer:
                 )
             )
 
-        self.engine._run_iteration = traced
-        return self
+        return traced
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # Remove the instance attribute so the class method shows through
-        # again (assigning the bound method back would shadow it forever).
-        # pop() instead of del: the hook must be restored no matter how
-        # the traced run ended — an aborted run (IterationAborted under
-        # faults), a double __exit__, or an __exit__ without __enter__
-        # must never leave a stale hook or raise a masking AttributeError.
-        self.engine.__dict__.pop("_run_iteration", None)
-        self._original = None
+        # Remove the instance attributes so the class methods show through
+        # again (assigning the bound methods back would shadow them
+        # forever).  pop() instead of del: the hooks must be restored no
+        # matter how the traced run ended — an aborted run
+        # (IterationAborted under faults), a double __exit__, or an
+        # __exit__ without __enter__ must never leave a stale hook or
+        # raise a masking AttributeError.
+        for name in _HOOKED:
+            self.engine.__dict__.pop(name, None)
 
     @property
     def num_iterations(self) -> int:

@@ -18,14 +18,22 @@ paper's:
 - ``run_on_iteration_end(g)`` — fires at the iteration barrier when the
   program asked for the notification (``g.notify_iteration_end()``).
 
-Data-parallel algorithms may additionally implement the **batched fast
-path** (``run_batch`` / ``run_on_vertices`` / ``run_on_messages``): the
-engine then hands whole scheduler batches, delivered waves and message
-rounds to the program as numpy arrays instead of making one Python call
-per vertex.  The fast path is a wall-clock optimisation only — the engine
+Algorithms may additionally implement the **batched fast path**
+(``run_batch`` / ``run_on_vertices`` / ``run_on_messages``): the engine
+then hands whole scheduler batches, delivered waves and message rounds
+to the program as numpy arrays instead of making one Python call per
+vertex.  The fast path is a wall-clock optimisation only — the engine
 replays every per-vertex CPU charge in the original order, so simulated
 results are bit-identical to the per-vertex path (see
 ``docs/architecture.md``, "Hot paths and vectorization invariants").
+PageRank, WCC, k-core, BFS (top-down and direction-optimizing), BC (both
+phases) and SCC (color and claim) take it; the other applications run
+per vertex.  Inside ``run_on_vertices`` a wave reports its charged work
+through three batched context calls, each taking one count per
+delivered list: ``send_message_batch`` (messages), ``activate_batch``
+(activations; at most one of these two per wave) and
+``charge_edges_batch`` (extra per-edge CPU, added to each list's degree
+before the per-edge charge is priced).
 
 Programs that also want the **async priority mode** declare a
 ``residuals`` hook (how much unpropagated work each vertex holds) and,
@@ -59,11 +67,23 @@ class VertexProgram:
     #: Batched fast-path hooks; ``None`` keeps the per-vertex path.  A
     #: program overriding one of these promises the vectorized form is
     #: observationally identical to its scalar twin, and that the scalar
-    #: twin performs no *charged* context call the batch form hides
-    #: (``run_batch`` may request I/O, which is free; ``run_on_vertices``
-    #: must route messages through ``g.send_message_batch`` so the engine
-    #: can replay per-list charges; ``run_on_messages`` must return the
-    #: activation mask instead of calling ``g.activate``).
+    #: twin performs no *charged* context call the batch form hides:
+    #:
+    #: - ``run_batch`` may request I/O and ask for the iteration-end
+    #:   callback, both free;
+    #: - ``run_on_vertices`` reports each list's charged calls as per-list
+    #:   counts — ``g.send_message_batch`` for ``send_message``,
+    #:   ``g.activate_batch`` for ``activate`` (one of the two, once per
+    #:   wave: the scalar path charges them as separate adds) and
+    #:   ``g.charge_edges_batch`` for ``charge_edges`` — so the engine can
+    #:   replay per-list charges.  The scalar twin may make at most one
+    #:   send-slot call per list, and the lists of a wave must not depend
+    #:   on each other's state updates (they are processed together);
+    #: - ``run_on_messages`` must return the activation mask instead of
+    #:   calling ``g.activate``.
+    #:
+    #: A subclass inherits these hooks; one whose scalar methods differ
+    #: must override them or set them back to ``None``.
     run_batch = None  # run_batch(g, vertices: int64 array)
     run_on_vertices = None  # run_on_vertices(g, batch: PageVertexBatch)
     run_on_messages = None  # run_on_messages(g, dests, values) -> activation mask
@@ -246,6 +266,17 @@ class GraphContext:
         per-list ``send_message`` calls bit for bit."""
         self._engine._buffer_message_batch(dests, values, counts)
 
+    def activate_batch(self, vertices, counts) -> None:
+        """Activate one delivered wave's vertices in a single call.
+
+        Only valid inside ``run_on_vertices``: ``vertices`` holds every
+        activation of the wave concatenated in delivery order, and
+        ``counts[i]`` is how many list ``i`` contributed.  The engine
+        replays each list's ``activate`` charge from ``counts`` in the
+        slot a send charge would take, so a wave may call this or
+        :meth:`send_message_batch`, not both."""
+        self._engine._buffer_activation_batch(vertices, counts)
+
     def notify_iteration_end(self) -> None:
         """Request a ``run_on_iteration_end`` callback at this barrier."""
         self._engine._request_iteration_end()
@@ -256,6 +287,14 @@ class GraphContext:
         """Charge extra per-edge CPU work to the current worker (e.g.
         triangle counting's neighbor-list intersections)."""
         self._engine._charge_edges(count)
+
+    def charge_edges_batch(self, counts) -> None:
+        """Batched :meth:`charge_edges`, only valid inside
+        ``run_on_vertices``: ``counts[i]`` extra edges for list ``i`` of
+        the wave.  The replay adds them to the list's degree before
+        pricing the list, exactly as a ``charge_edges`` call inside
+        ``run_on_vertex`` does."""
+        self._engine._charge_edges_batch(counts)
 
     # -- internals --------------------------------------------------------
 

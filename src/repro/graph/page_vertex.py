@@ -141,3 +141,11 @@ class PageVertexBatch:
         """Expand one value per list to one value per edge (the batched
         form of multicasting a scalar message payload to every neighbor)."""
         return np.repeat(np.asarray(per_list_values), self.degrees)
+
+    def count_per_list(self, edge_mask: np.ndarray) -> np.ndarray:
+        """How many edges of each list ``edge_mask`` selects (the mask is
+        aligned with :meth:`read_edges_concat`)."""
+        running = np.zeros(self._edges.size + 1, dtype=np.int64)
+        np.cumsum(edge_mask, out=running[1:])
+        ends = np.cumsum(self.degrees)
+        return running[ends] - running[ends - self.degrees]

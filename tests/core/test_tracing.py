@@ -7,10 +7,12 @@ import pytest
 
 from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
-from repro.core.config import EngineConfig, ExecutionMode
+from repro.algorithms.wcc import wcc
+from repro.core.config import EngineConfig, ExecutionKind, ExecutionMode
 from repro.core.engine import GraphEngine, IterationAborted
 from repro.core.tracing import IterationTracer
 from repro.safs.filesystem import SAFS, SAFSConfig
+from repro.safs.page import SAFSFile
 from repro.sim.faults import DeviceFailure, FaultPlan
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 
@@ -128,3 +130,40 @@ class TestIterationTracer:
         sizes = tracer.frontier_sizes()
         assert sizes[0] == er_image.num_vertices
         assert sizes[-1] < sizes[0]
+
+
+def _wcc_run(image, execution, traced):
+    SAFSFile._next_id = 0
+    engine = engine_for(image, execution=execution)
+    tracer = IterationTracer(engine)
+    if traced:
+        with tracer:
+            labels, result = wcc(engine)
+    else:
+        labels, result = wcc(engine)
+    return tracer, labels, result
+
+
+@pytest.mark.parametrize("execution", [ExecutionKind.SYNC, ExecutionKind.ASYNC])
+def test_one_row_per_iteration_or_round(rmat_image, execution, tmp_path):
+    # Async runs step through _run_round, never _run_iteration; both
+    # must trace, and tracing must not move a simulated number.
+    tracer, labels, result = _wcc_run(rmat_image, execution, traced=True)
+    _, plain_labels, plain = _wcc_run(rmat_image, execution, traced=False)
+    assert tracer.num_iterations == result.iterations > 0
+    assert [r.iteration for r in tracer.records] == list(range(result.iterations))
+    assert sum(r.edges_delivered for r in tracer.records) == (
+        result.counters["engine.edges_delivered"]
+    )
+    assert tracer.records[-1].end_time == result.runtime
+    assert result.runtime == plain.runtime
+    assert result.cpu_busy == plain.cpu_busy
+    assert result.counters == plain.counters
+    np.testing.assert_array_equal(labels, plain_labels)
+    path = tmp_path / "trace.csv"
+    tracer.write_csv(path)
+    with open(path) as f:
+        assert len(list(csv.DictReader(f))) == result.iterations
+    for name in ("_run_iteration", "_run_round"):
+        assert name not in tracer.engine.__dict__
+

@@ -86,6 +86,23 @@ class TestRun:
         assert trace.exists()
         assert trace.read_text().startswith("iteration,")
 
+    def test_run_async_with_trace(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        trace = tmp_path / "trace.csv"
+        rng = np.random.default_rng(2)
+        save_edges_text(graph, rng.integers(0, 32, size=(128, 2)), 32)
+        rc = cli.main(
+            [
+                "run", "--algorithm", "wcc", "--edges", str(graph),
+                "--threads", "2", "--execution", "async", "--trace", str(trace),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        rows = trace.read_text().splitlines()
+        assert len(rows) > 1  # header plus one row per round
+        assert f"wrote {len(rows) - 1}-iteration trace" in out
+
     def test_run_without_input_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["run", "--algorithm", "bfs"])
