@@ -69,6 +69,9 @@ SMOKE_SUITES = (
     ("wcc@twitter-sim@sem", "twitter-sim", "wcc", ExecutionMode.SEMI_EXTERNAL, "v1"),
     ("pr@twitter-sim@sem@v2", "twitter-sim", "pr", ExecutionMode.SEMI_EXTERNAL, "v2"),
     ("bfs@twitter-sim@sem@v2", "twitter-sim", "bfs", ExecutionMode.SEMI_EXTERNAL, "v2"),
+    # Scan statistics takes its lists one at a time (``run_on_vertex``),
+    # so this suite gates the per-list delivery of the wave service.
+    ("ss@twitter-sim@sem@v2", "twitter-sim", "ss", ExecutionMode.SEMI_EXTERNAL, "v2"),
 )
 
 

@@ -37,12 +37,11 @@ from repro.core.scheduler import make_scheduler
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.obs import registry as reg
 from repro.graph.builder import GraphImage
-from repro.graph.format import EDGE_BYTES, FORMAT_V2, HEADER_BYTES, decode_lists_v2
+from repro.graph.format import ATTR_BYTES, FORMAT_V2, HEADER_BYTES, decode_lists_v2
 from repro.graph.page_vertex import PageVertex, PageVertexBatch, gather_ranges, scatter_positions
 from repro.graph.types import EdgeType
 from repro.safs.filesystem import SAFS
-from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
-from repro.safs.user_task import UserTask
+from repro.safs.io_request import merge_request_arrays
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.sim.faults import UnrecoverableIOError
 from repro.sim.numa import NumaTopology
@@ -50,6 +49,52 @@ from repro.sim.stats import StatsCollector
 
 #: Estimated bytes per buffered message (dest id + payload).
 MESSAGE_BYTES = 16
+
+#: A wave's lists carry their direction as an index into this tuple.
+_DIRECTIONS = (EdgeType.OUT, EdgeType.IN)
+
+
+def _wave_entry(
+    requester: int, targets: np.ndarray, direction: EdgeType, with_attrs: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """One buffered request as parallel ``(requesters, targets, codes,
+    with_attrs)`` list arrays."""
+    count = targets.size
+    return (
+        np.full(count, requester, dtype=np.int64),
+        targets,
+        np.full(count, _DIRECTIONS.index(direction), dtype=np.int8),
+        with_attrs,
+    )
+
+
+def _lanes(codes: np.ndarray) -> Dict[int, object]:
+    """Direction code -> the index selecting its lists; a full slice when
+    the wave has one direction, which spares the mask copies."""
+    first, last = int(codes.min()), int(codes.max())
+    if first == last:
+        return {first: slice(None)}
+    return {c: codes == c for c in range(first, last + 1)}
+
+
+def _flatten_wave(wave):
+    """Concatenate buffered entries into one wave's list arrays, plus —
+    when any entry asked for attributes — the per-list attribute mask and
+    the index of the entry each list came from."""
+    requesters = np.concatenate([entry[0] for entry in wave])
+    targets = np.concatenate([entry[1] for entry in wave])
+    codes = np.concatenate([entry[2] for entry in wave])
+    flags = [entry[3] for entry in wave]
+    if not any(flags):
+        return requesters, targets, codes
+    sizes = [entry[1].size for entry in wave]
+    return (
+        requesters,
+        targets,
+        codes,
+        np.repeat(np.asarray(flags, dtype=bool), sizes),
+        np.repeat(np.arange(len(wave)), sizes),
+    )
 
 
 class IterationAborted(RuntimeError):
@@ -318,13 +363,12 @@ class GraphEngine:
         self._ctx = GraphContext(self)
         self._workers: List[_Worker] = []
         self._current: Optional[_Worker] = None
-        self._pending_requests: List[Tuple[int, np.ndarray, EdgeType, bool]] = []
-        # Self-request waves buffered by ``run_batch`` programs; serviced
-        # by the vectorized fast path (or expanded to per-vertex entries
-        # when the fast path's preconditions do not hold).
-        self._pending_batches: List[Tuple[np.ndarray, EdgeType]] = []
+        # The next wave's requests, as ``_wave_entry`` list arrays.
+        self._pending_requests: List[tuple] = []
+        # Self-request waves of ``run_on_vertices`` programs, as
+        # ``(vertices, codes)`` list arrays; each is its own wave.
+        self._pending_batches: List[Tuple[np.ndarray, np.ndarray]] = []
         self._part_queue: Deque[Tuple[int, np.ndarray, EdgeType, bool]] = deque()
-        self._attr_waiting: set = set()
         # State of the ``run_on_vertices`` wave in flight: its list count
         # (``None`` outside the hook, which is how the batched context
         # calls reject misuse), the per-list counts of its one send-slot
@@ -334,11 +378,9 @@ class GraphEngine:
         self._wave_lists: Optional[int] = None
         self._wave_send_counts: Optional[np.ndarray] = None
         self._wave_extra_edges: Optional[np.ndarray] = None
-        # file_id -> the file's bytes viewed as little-endian u32 words
-        # (zero-copy edge gathering in the semi-external fast path).
-        self._file_words: Dict[int, np.ndarray] = {}
-        # file_id -> the file's raw uint8 bytes (batched v2 decode).
-        self._file_bytes: Dict[int, np.ndarray] = {}
+        # (file_id, dtype) -> the whole file viewed as a numpy array
+        # (zero-copy edge and attribute gathers, batched v2 decode).
+        self._file_arrays: Dict[Tuple[int, str], np.ndarray] = {}
         self._activations: List[np.ndarray] = []
         self._messages: Optional[MessageBuffer] = None
         self._iteration_end_requested = False
@@ -474,7 +516,6 @@ class GraphEngine:
         self._pending_requests.clear()
         self._pending_batches.clear()
         self._part_queue.clear()
-        self._attr_waiting.clear()
         self._activations.clear()
         self._end_wave()
         if self._messages is not None:
@@ -897,7 +938,9 @@ class GraphEngine:
         with_attrs: bool = False,
     ) -> None:
         self._current = worker
-        self._pending_requests.append((requester, targets, direction, with_attrs))
+        self._pending_requests.append(
+            _wave_entry(requester, targets, direction, with_attrs)
+        )
         self.stats.add(reg.ENGINE_VERTEX_PARTS)
         self._service_request_waves(worker)
 
@@ -906,247 +949,219 @@ class GraphEngine:
             if self._pending_batches:
                 batches = self._pending_batches
                 self._pending_batches = []
-                for vertices, edge_type in batches:
-                    self._service_batch_entry(worker, vertices, edge_type)
-            if not self._pending_requests:
-                continue
-            wave = self._pending_requests
-            self._pending_requests = []
-            if self.config.mode is ExecutionMode.IN_MEMORY:
-                self._service_in_memory(worker, wave)
-            else:
-                self._service_semi_external(worker, wave)
+                for lists, codes in batches:
+                    self._service_wave(worker, lists, lists, codes, batched=True)
+            if self._pending_requests:
+                wave = self._pending_requests
+                self._pending_requests = []
+                self._service_wave(worker, *_flatten_wave(wave))
 
-    def _service_batch_entry(
-        self, worker: _Worker, vertices: np.ndarray, edge_type: EdgeType
+    def _service_wave(
+        self,
+        worker: _Worker,
+        requesters: np.ndarray,
+        targets: np.ndarray,
+        codes: np.ndarray,
+        with_attrs: Optional[np.ndarray] = None,
+        entries: Optional[np.ndarray] = None,
+        batched: bool = False,
     ) -> None:
-        """Route one batched self-request wave.
+        """Serve one wave of edge-list requests, held as parallel arrays.
 
-        The vectorized fast path requires a ``run_on_vertices`` hook and,
-        in semi-external mode, engine-level merging (the global stable
-        sort is what makes the array merge order-equivalent to the
-        per-request path; the bounded-window disciplines are served by
-        expansion instead).
+        List ``i`` is ``targets[i]``'s list in direction
+        ``_DIRECTIONS[codes[i]]`` for ``requesters[i]``, paired with its
+        attribute block where ``with_attrs[i]``; ``entries[i]`` numbers
+        the buffered request it came from, whose attribute elements
+        follow its edge elements.  A semi-external wave is located,
+        array-merged under the configured discipline (the whole wave,
+        ``fs_merge_window`` requests at a time, or one at a time), issued
+        through :meth:`SAFS.submit_spans` and decoded once per file lane;
+        elements arrive in stable completion order, the worker waits for
+        each, and a list is complete at its last element.  An in-memory
+        wave gathers from the CSR and arrives in request order.  The one
+        fork is delivery: a ``batched`` wave goes to ``run_on_vertices``
+        through :meth:`_deliver_batch`, every other list to
+        ``run_on_vertex`` as a :class:`PageVertex` view.
         """
-        if vertices.size == 0:
+        num_lists = targets.size
+        if num_lists == 0:
             return
-        if self.program.run_on_vertices is None:
-            self._expand_batch_entries(vertices, edge_type)
-        elif self.config.mode is ExecutionMode.IN_MEMORY:
-            self._service_in_memory_batch(worker, vertices, edge_type)
-        elif self.config.merge_in_engine:
-            self._service_semi_external_batch(worker, vertices, edge_type)
-        else:
-            self._expand_batch_entries(vertices, edge_type)
-
-    def _expand_batch_entries(self, vertices: np.ndarray, edge_type: EdgeType) -> None:
-        """Fall back to the per-vertex path: emit exactly the wave entries
-        per-vertex ``request_self`` calls would have buffered, including
-        the per-vertex direction interleaving of ``BOTH`` requests."""
-        directions = edge_type.directions()
-        for v in vertices.tolist():
-            targets = np.asarray([v], dtype=np.int64)
-            for direction in directions:
-                self._buffer_request(int(v), targets, direction, False)
-
-    def _service_in_memory(self, worker: _Worker, wave) -> None:
-        for requester, targets, direction, with_attrs in wave:
-            for target in targets:
-                view = self.memory_store.fetch(int(target), direction, with_attrs)
-                self._deliver_edge_list(worker, requester, view)
-
-    def _service_semi_external(self, worker: _Worker, wave) -> None:
-        requests: List[IORequest] = []
-        for requester, targets, direction, with_attrs in wave:
-            index = self.image.index(direction)
-            file = self.safs.open_file(self.image.file_name(direction))
-            offsets, sizes = index.locate_many(targets)
-            for target, offset, size in zip(targets, offsets, sizes):
-                requests.append(
-                    IORequest(
-                        file,
-                        int(offset),
-                        int(size),
-                        UserTask(context=(requester, direction, "edges", int(target))),
-                    )
-                )
-            if with_attrs:
-                requests.extend(self._attr_requests(requester, targets, direction))
-        if not requests:
-            return
-        if self.config.merge_in_engine:
-            merged = merge_requests(requests, self.safs.page_size)
-            completions, cpu = self.safs.submit_merged(merged, worker.time)
-        else:
-            completions, cpu = self.safs.submit(
-                requests, worker.time, fs_merge=self.config.merge_in_fs
-            )
-        self._charge(cpu)
-        self.stats.add(reg.ENGINE_IO_REQUESTS, len(requests))
-        fmt = self.image.fmt
-        compressed = fmt == FORMAT_V2
-        pending_pairs: Dict[Tuple[int, EdgeType, int], Dict[str, memoryview]] = {}
-        for done in completions:
-            if done.completion_time > worker.time:
-                # The worker waits for data; waiting is not busy time.
-                worker.time = done.completion_time
-            requester, direction, kind, target = done.request.task.context
-            key = (requester, direction, target)
-            if key in self._attr_waiting:
-                # This target needs edges AND attrs paired before delivery.
-                parts = pending_pairs.setdefault(key, {})
-                parts[kind] = done.data
-                if len(parts) == 2:
-                    attrs = np.frombuffer(parts["attrs"], dtype="<f4")
-                    view = PageVertex(parts["edges"], direction, attrs=attrs, fmt=fmt)
-                    del pending_pairs[key]
-                    self._attr_waiting.discard(key)
-                    self._deliver_edge_list(
-                        worker, requester, view,
-                        decode_bytes=len(parts["edges"]) if compressed else 0,
-                    )
-            else:
-                view = PageVertex(done.data, direction, fmt=fmt)
-                self._deliver_edge_list(
-                    worker, requester, view,
-                    decode_bytes=done.num_bytes if compressed else 0,
-                )
-
-    def _service_in_memory_batch(
-        self, worker: _Worker, vertices: np.ndarray, edge_type: EdgeType
-    ) -> None:
-        """Vectorized in-memory service of one batched self-request wave.
-
-        Delivery order matches the per-vertex path: per requesting vertex,
-        one list per direction in ``directions()`` order.
-        """
-        directions = edge_type.directions()
-        nd = len(directions)
-        num_lists = vertices.size * nd
-        verts = np.repeat(vertices, nd)
-        degrees = np.empty(num_lists, dtype=np.int64)
-        starts_by_dir: List[np.ndarray] = []
-        indices_by_dir: List[np.ndarray] = []
-        for di, direction in enumerate(directions):
-            csr = self.image.csr(direction)
-            starts = csr.indptr[vertices]
-            degrees[di::nd] = csr.indptr[vertices + 1] - starts
-            starts_by_dir.append(starts)
-            indices_by_dir.append(csr.indices)
-        total_edges = int(degrees.sum())
-        flat_starts = np.zeros(num_lists, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=flat_starts[1:])
-        edges = np.empty(total_edges, dtype=np.uint32)
-        for di in range(nd):
-            lane = slice(di, None, nd)
-            lane_degrees = degrees[lane]
-            positions = scatter_positions(flat_starts[lane], lane_degrees)
-            edges[positions] = gather_ranges(
-                indices_by_dir[di], starts_by_dir[di], lane_degrees
-            )
-        batch = PageVertexBatch(verts, degrees, edges)
-        self._deliver_batch(worker, batch, None, self.cost_model.cpu_per_edge_mem)
-
-    def _service_semi_external_batch(
-        self, worker: _Worker, vertices: np.ndarray, edge_type: EdgeType
-    ) -> None:
-        """Vectorized SAFS service of one batched self-request wave.
-
-        Mirrors ``_service_semi_external`` with engine merging: the
-        request elements are laid out in the exact order the per-vertex
-        path would build its request list (per vertex, one element per
-        direction), array-merged, issued span by span, and delivered in
-        completion order with every per-list charge replayed.
-        """
-        cm = self.cost_model
-        compressed = self.image.fmt == FORMAT_V2
-        directions = edge_type.directions()
-        nd = len(directions)
-        num_elems = vertices.size * nd
-        file_ids = np.empty(num_elems, dtype=np.int64)
-        offsets = np.empty(num_elems, dtype=np.int64)
-        sizes = np.empty(num_elems, dtype=np.int64)
-        dir_code = np.empty(num_elems, dtype=np.int64)
-        # Under v2 the record size no longer encodes the degree, so the
-        # degrees ride along as their own lane-filled array.
-        elem_degrees = np.empty(num_elems, dtype=np.int64) if compressed else None
+        safs, image = self.safs, self.image
+        compressed = safs is not None and image.fmt == FORMAT_V2
+        degrees, starts, sizes, fids = np.empty((4, num_lists), dtype=np.int64)
+        if with_attrs is not None:
+            attr_starts, attr_sizes, attr_fids = np.zeros((3, num_lists), dtype=np.int64)
         files: Dict[int, "SAFSFile"] = {}
-        dir_files: List = []
-        for di, direction in enumerate(directions):
-            file = self.safs.open_file(self.image.file_name(direction))
-            files[file.file_id] = file
-            dir_files.append(file)
-            index = self.image.index(direction)
-            offs, szs = index.locate_many(vertices)
-            lane = slice(di, None, nd)
-            file_ids[lane] = file.file_id
-            offsets[lane] = offs
-            sizes[lane] = szs
-            dir_code[lane] = di
-            if compressed:
-                elem_degrees[lane] = index.degrees_of(vertices)
-        elem_vertex = np.repeat(vertices, nd)
-
-        spans = merge_request_arrays(file_ids, offsets, sizes, self.safs.page_size)
-        issued_at = worker.time
-        span_done, cpu = self.safs.submit_spans(spans, files, worker.time)
-        self._charge(cpu)
-        self.stats.add(reg.ENGINE_IO_REQUESTS, num_elems)
-
-        # Stable completion-time sort of the constituent elements — the
-        # array form of ``completions.sort`` over the per-part tasks.
-        part_done = span_done[spans.span_of_part]
-        by_completion = np.argsort(part_done, kind="stable")
-        deliver = spans.order[by_completion]
-        times = part_done[by_completion]
-
-        obs = self.obs
-        if obs is not None and obs.last_io_ids is not None:
-            # Link each delivered element to the merged span that served
-            # it — the fast-path twin of the per-part request events.
-            io_ids = np.asarray(obs.last_io_ids, dtype=np.int64)[
-                spans.span_of_part
-            ][by_completion]
-            codes_delivered = dir_code[deliver]
-            obs.request_events_batch(
-                elem_vertex[deliver].tolist(),
-                [directions[c] for c in codes_delivered.tolist()],
-                io_ids.tolist(),
-                issued_at,
-                times.tolist(),
-            )
-            obs.last_io_ids = None
-
-        if compressed:
-            degrees = elem_degrees[deliver]
-        else:
-            degrees = (sizes[deliver] - HEADER_BYTES) // EDGE_BYTES
-        codes = dir_code[deliver]
-        elem_offsets = offsets[deliver]
-        total_edges = int(degrees.sum())
-        flat_starts = np.zeros(num_elems, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=flat_starts[1:])
-        edges = np.empty(total_edges, dtype=np.uint32)
-        for di in range(nd):
-            mask = codes == di
-            if not np.any(mask):
-                continue
-            lane_degrees = degrees[mask]
-            positions = scatter_positions(flat_starts[mask], lane_degrees)
-            if compressed:
-                # One batched varint+delta decode per direction lane.
-                edges[positions] = decode_lists_v2(
-                    self._bytes_of(dir_files[di]), elem_offsets[mask], lane_degrees
-                )
+        lane_files: Dict[Tuple[int, str], "SAFSFile"] = {}
+        attr_lanes = []
+        lanes = _lanes(codes)
+        for c, mask in lanes.items():
+            direction = _DIRECTIONS[c]
+            index = image.index(direction)
+            degrees[mask] = index.degrees_of(targets[mask])
+            if safs is None:
+                starts[mask] = image.csr(direction).indptr[targets[mask]]
             else:
-                words = self._words_of(dir_files[di])
-                word_starts = elem_offsets[mask] // 4 + HEADER_BYTES // 4
+                file = safs.open_file(image.file_name(direction))
+                files[file.file_id] = lane_files[c, "edges"] = file
+                fids[mask] = file.file_id
+                starts[mask], sizes[mask] = index.locate_many(targets[mask])
+            if with_attrs is None:
+                continue
+            mask = with_attrs & (codes == c)
+            if not mask.any():
+                continue
+            if direction not in image.attr_offsets:
+                raise ValueError(f"the graph has no {direction.value}-edge attributes")
+            attr_lanes.append(c)
+            offsets = image.attr_offsets[direction]
+            attr_starts[mask] = offsets[targets[mask]]
+            attr_sizes[mask] = offsets[targets[mask] + 1] - attr_starts[mask]
+            if safs is not None:
+                file = safs.open_file(f"{image.name}.{direction.value}-attrs")
+                files[file.file_id] = lane_files[c, "attrs"] = file
+                attr_fids[mask] = file.file_id
+
+        delivery, times, completes = np.arange(num_lists), None, None
+        if safs is not None:
+            # One element per edge list, plus one per non-empty attribute
+            # block right after its request's edge elements.
+            elem_list, elem_attr = delivery, None
+            elem_files, elem_offsets, elem_sizes = fids, starts, sizes
+            if attr_lanes and attr_sizes.any():
+                attr_lists = np.flatnonzero(attr_sizes)
+                elem_list = np.concatenate([elem_list, attr_lists])
+                elem_attr = np.arange(elem_list.size) >= num_lists
+                layout = np.argsort(entries[elem_list] * 2 + elem_attr, kind="stable")
+                elem_list, elem_attr = elem_list[layout], elem_attr[layout]
+                elem_files, elem_offsets, elem_sizes = (
+                    np.where(elem_attr, attr[elem_list], edge[elem_list])
+                    for attr, edge in (
+                        (attr_fids, fids), (attr_starts, starts), (attr_sizes, sizes)
+                    )
+                )
+            kernel_requests, window = 0, None
+            if not self.config.merge_in_engine:
+                kernel_requests = elem_list.size
+                window = safs.config.fs_merge_window if self.config.merge_in_fs else 1
+            spans = merge_request_arrays(
+                elem_files, elem_offsets, elem_sizes, safs.page_size, window=window
+            )
+            issued_at = worker.time
+            span_done, cpu = safs.submit_spans(
+                spans, files, issued_at, kernel_requests=kernel_requests
+            )
+            self._charge(cpu)
+            self.stats.add(reg.ENGINE_IO_REQUESTS, elem_list.size)
+            part_done = span_done[spans.span_of_part]
+            by_completion = np.argsort(part_done, kind="stable")
+            arrived = spans.order[by_completion]
+            delivery, times = elem_list[arrived], part_done[by_completion]
+
+            obs = self.obs
+            if obs is not None and obs.last_io_ids is not None:
+                # Link each arriving element to the merged span serving it.
+                io_ids = np.asarray(obs.last_io_ids, dtype=np.int64)[
+                    spans.span_of_part
+                ][by_completion]
+                kinds = ["edges"] * delivery.size
+                if elem_attr is not None:
+                    kinds = np.where(elem_attr[arrived], "attrs", "edges").tolist()
+                obs.request_events(
+                    requesters[delivery].tolist(),
+                    [_DIRECTIONS[c] for c in codes[delivery].tolist()],
+                    kinds,
+                    targets[delivery].tolist(),
+                    io_ids.tolist(),
+                    issued_at,
+                    times.tolist(),
+                )
+                obs.last_io_ids = None
+            if elem_attr is not None:
+                # A list with attributes completes at its later element.
+                steps = np.arange(delivery.size)
+                last = np.zeros(num_lists, dtype=np.int64)
+                np.maximum.at(last, delivery, steps)
+                completes = last[delivery] == steps
+                delivery = delivery[completes]
+
+        # One gather or decode per file lane, lists in delivery order.
+        list_degrees = degrees[delivery]
+        list_codes = codes[delivery]
+        list_starts = starts[delivery]
+        flat_starts = np.zeros(num_lists, dtype=np.int64)
+        np.cumsum(list_degrees[:-1], out=flat_starts[1:])
+        edges = np.empty(int(list_degrees.sum()), dtype=np.uint32)
+        attrs = np.empty(edges.size, dtype="<f4") if with_attrs is not None else None
+        for c, mask in (lanes if len(lanes) == 1 else _lanes(list_codes)).items():
+            lane_starts, lane_degrees = list_starts[mask], list_degrees[mask]
+            positions = scatter_positions(flat_starts[mask], lane_degrees)
+            if safs is None:
+                source = image.csr(_DIRECTIONS[c]).indices
+                edges[positions] = gather_ranges(source, lane_starts, lane_degrees)
+            elif compressed:
+                raw = self._file_array(lane_files[c, "edges"], np.uint8)
+                edges[positions] = decode_lists_v2(raw, lane_starts, lane_degrees)
+            else:
+                words = self._file_array(lane_files[c, "edges"], "<u4")
+                word_starts = lane_starts // 4 + HEADER_BYTES // 4
                 edges[positions] = gather_ranges(words, word_starts, lane_degrees)
-        batch = PageVertexBatch(elem_vertex[deliver], degrees, edges)
-        self._deliver_batch(
-            worker, batch, times, cm.cpu_per_edge_sem,
-            decode_sizes=sizes[deliver] if compressed else None,
+            if c not in attr_lanes:
+                continue
+            mask = (list_codes == c) & with_attrs[delivery]
+            lane_degrees = list_degrees[mask]
+            if safs is None:
+                values = np.frombuffer(image.attr_bytes[_DIRECTIONS[c]], dtype="<f4")
+            else:
+                values = self._file_array(lane_files[c, "attrs"], "<f4")
+            attrs[scatter_positions(flat_starts[mask], lane_degrees)] = gather_ranges(
+                values, attr_starts[delivery][mask] // ATTR_BYTES, lane_degrees
+            )
+
+        cm = self.cost_model
+        edge_rate = cm.cpu_per_edge_sem if safs is not None else cm.cpu_per_edge_mem
+        decode_sizes = sizes[delivery] if compressed else None
+        if batched:
+            batch = PageVertexBatch(requesters[delivery], list_degrees, edges)
+            self._deliver_batch(worker, batch, times, edge_rate, decode_sizes)
+            return
+
+        # Per-list delivery: wait for every arriving element; each
+        # complete list runs ``run_on_vertex`` and pays its run, per-edge
+        # and (v2) decode charges.
+        run_on_vertex, ctx = self.program.run_on_vertex, self._ctx
+        run_cost, decode_rate = cm.cpu_per_vertex_run, cm.cpu_per_decode_byte
+        lists = zip(
+            requesters[delivery].tolist(),
+            targets[delivery].tolist(),
+            list_codes.tolist(),
+            flat_starts.tolist(),
+            list_degrees.tolist(),
+            decode_sizes.tolist() if compressed else [0] * num_lists,
+            with_attrs[delivery].tolist() if attrs is not None else [False] * num_lists,
         )
+        arrivals = [None] * num_lists if times is None else times.tolist()
+        complete = [True] * len(arrivals) if completes is None else completes.tolist()
+        for done, last in zip(arrivals, complete):
+            if done is not None and done > worker.time:
+                # The worker waits for data; waiting is not busy time.
+                worker.time = done
+            if not last:
+                continue
+            requester, target, code, lo, degree, size, paired = next(lists)
+            hi = lo + degree
+            view = PageVertex.from_arrays(
+                target, edges[lo:hi], _DIRECTIONS[code],
+                attrs=attrs[lo:hi] if paired else None,
+            )
+            self._extra_edge_charge = 0
+            run_on_vertex(ctx, requester, view)
+            self._charge(run_cost + (degree + self._extra_edge_charge) * edge_rate)
+            if size:
+                self._charge(size * decode_rate)
+        if compressed:
+            self.stats.add(reg.GRAPH_DECODE_BYTES, int(decode_sizes.sum()))
+        self.stats.add(reg.ENGINE_EDGES_DELIVERED, edges.size)
 
     def _deliver_batch(
         self,
@@ -1179,7 +1194,7 @@ class GraphEngine:
         if extra is None:
             degree_list = batch.degrees.tolist()
         else:
-            # ``_deliver_edge_list`` prices degree + extra edges as one
+            # Per-list delivery prices degree + extra edges as one
             # integer, so the sum is formed before the multiply.
             degree_list = (batch.degrees + extra).tolist()
         time_list = times.tolist() if times is not None else None
@@ -1225,68 +1240,15 @@ class GraphEngine:
             self.stats.add(reg.GRAPH_DECODE_BYTES, int(decode_sizes.sum()))
         self.stats.add(reg.ENGINE_EDGES_DELIVERED, batch.total_edges)
 
-    def _words_of(self, file) -> np.ndarray:
-        words = self._file_words.get(file.file_id)
-        if words is None:
-            words = np.frombuffer(file.read(0, file.size), dtype="<u4")
-            self._file_words[file.file_id] = words
-        return words
-
-    def _bytes_of(self, file) -> np.ndarray:
-        """The file's raw bytes as a cached uint8 view (v2 decode path)."""
-        raw = self._file_bytes.get(file.file_id)
-        if raw is None:
-            raw = np.frombuffer(file.read(0, file.size), dtype=np.uint8)
-            self._file_bytes[file.file_id] = raw
-        return raw
-
-    def _attr_requests(
-        self, requester: int, targets: np.ndarray, direction: EdgeType
-    ) -> List[IORequest]:
-        if direction not in self.image.attr_offsets:
-            raise ValueError(f"the graph has no {direction.value}-edge attributes")
-        attr_file = self.safs.open_file(f"{self.image.name}.{direction.value}-attrs")
-        offsets = self.image.attr_offsets[direction]
-        requests = []
-        for target in targets:
-            target = int(target)
-            start = int(offsets[target])
-            size = int(offsets[target + 1]) - start
-            if size == 0:
-                continue
-            self._attr_waiting.add((requester, direction, target))
-            requests.append(
-                IORequest(
-                    attr_file,
-                    start,
-                    size,
-                    UserTask(context=(requester, direction, "attrs", target)),
-                )
-            )
-        return requests
-
-    def _deliver_edge_list(
-        self,
-        worker: _Worker,
-        requester: int,
-        view: PageVertex,
-        decode_bytes: int = 0,
-    ) -> None:
-        cm = self.cost_model
-        if self.config.mode is ExecutionMode.IN_MEMORY:
-            edge_rate = cm.cpu_per_edge_mem
-        else:
-            edge_rate = cm.cpu_per_edge_sem
-        self._extra_edge_charge = 0
-        self.program.run_on_vertex(self._ctx, int(requester), view)
-        edges = view.num_edges + self._extra_edge_charge
-        self._charge(cm.cpu_per_vertex_run + edges * edge_rate)
-        if decode_bytes:
-            # Compressed (v2) lists pay per-byte decode CPU; v1 delivery
-            # takes this branch never, keeping its charges bit-identical.
-            self._charge(decode_bytes * cm.cpu_per_decode_byte)
-            self.stats.add(reg.GRAPH_DECODE_BYTES, decode_bytes)
-        self.stats.add(reg.ENGINE_EDGES_DELIVERED, view.num_edges)
+    def _file_array(self, file, dtype) -> np.ndarray:
+        """The whole file viewed as a cached numpy array of ``dtype`` (the
+        lane gathers and decodes index into it by offset)."""
+        key = (file.file_id, np.dtype(dtype).str)
+        array = self._file_arrays.get(key)
+        if array is None:
+            array = np.frombuffer(file.read(0, file.size), dtype=dtype)
+            self._file_arrays[key] = array
+        return array
 
     def _deliver_messages(self) -> None:
         dests, values, counts = self._messages.deliver()
@@ -1395,25 +1357,31 @@ class GraphEngine:
         threshold = self.config.vertical_part_threshold
         if threshold and targets.size > threshold:
             parts = split_into_parts(requester, targets, self.config.vertical_part_size)
-            self._pending_requests.append(
-                (requester, parts[0].targets, direction, with_attrs)
-            )
+            targets = parts[0].targets
             for part in parts[1:]:
                 self._part_queue.append(
                     (requester, part.targets, direction, with_attrs)
                 )
-        else:
-            self._pending_requests.append((requester, targets, direction, with_attrs))
+        self._pending_requests.append(
+            _wave_entry(requester, targets, direction, with_attrs)
+        )
 
     def _buffer_batch_request(self, vertices: np.ndarray, edge_type: EdgeType) -> None:
         """Buffer a whole wave of self-requests from ``run_batch``.
 
-        Kept as one array entry so the service layer can merge and locate
-        the wave vectorized; semantically the wave equals per-vertex
-        ``request_self`` calls in ``vertices`` order (which is what
-        ``_expand_batch_entries`` reconstructs when the fast path cannot
-        run)."""
-        self._pending_batches.append((vertices, edge_type))
+        The wave equals per-vertex ``request_self`` calls in ``vertices``
+        order: per vertex, one list per direction.  A ``run_on_vertices``
+        program gets it as its own wave, delivered in one batch; any
+        other program's lists join the next per-list wave."""
+        directions = edge_type.directions()
+        lists = np.repeat(vertices, len(directions))
+        codes = np.empty(lists.size, dtype=np.int8)
+        for i, direction in enumerate(directions):
+            codes[i :: len(directions)] = _DIRECTIONS.index(direction)
+        if self.program.run_on_vertices is None:
+            self._pending_requests.append((lists, lists, codes, False))
+        else:
+            self._pending_batches.append((lists, codes))
 
     def _end_wave(self) -> None:
         self._wave_lists = None

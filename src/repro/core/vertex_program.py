@@ -18,17 +18,22 @@ paper's:
 - ``run_on_iteration_end(g)`` — fires at the iteration barrier when the
   program asked for the notification (``g.notify_iteration_end()``).
 
-Algorithms may additionally implement the **batched fast path**
+Every requested edge list, under every merge discipline, is fetched by
+the engine's one wave service: the wave is merged and issued as arrays
+and decoded once per file lane.  Only the delivery differs by program.
+Algorithms may additionally implement the **batched hooks**
 (``run_batch`` / ``run_on_vertices`` / ``run_on_messages``): the engine
 then hands whole scheduler batches, delivered waves and message rounds
 to the program as numpy arrays instead of making one Python call per
-vertex.  The fast path is a wall-clock optimisation only — the engine
-replays every per-vertex CPU charge in the original order, so simulated
-results are bit-identical to the per-vertex path (see
+vertex or list.  The hooks are a wall-clock optimisation only — the
+engine replays every per-list CPU charge in the original order, so
+simulated results are bit-identical to the per-list delivery (see
 ``docs/architecture.md``, "Hot paths and vectorization invariants").
 PageRank, WCC, k-core, BFS (top-down and direction-optimizing), BC (both
-phases) and SCC (color and claim) take it; the other applications run
-per vertex.  Inside ``run_on_vertices`` a wave reports its charged work
+phases) and SCC (color and claim) implement them; the other applications
+receive lists one at a time through ``run_on_vertex``, as
+:class:`PageVertex` views over the decoded wave.  Inside
+``run_on_vertices`` a wave reports its charged work
 through three batched context calls, each taking one count per
 delivered list: ``send_message_batch`` (messages), ``activate_batch``
 (activations; at most one of these two per wave) and

@@ -1,8 +1,8 @@
 """Zero-copy edge-list views handed to vertex programs.
 
-When an I/O request completes, the SAFS user task runs against the page
-cache and parses the vertex's edge list in place: this is the
-``page_vertex`` argument of ``run_on_vertex`` in the paper's API
+When a wave of I/O requests completes, the engine decodes its edge lists
+once per file lane and hands each list to the program as a view: this is
+the ``page_vertex`` argument of ``run_on_vertex`` in the paper's API
 (Figure 3).  No edge data is ever copied into per-vertex buffers.
 """
 
@@ -56,7 +56,8 @@ class PageVertex:
         edge_type: EdgeType = EdgeType.OUT,
         attrs: Optional[np.ndarray] = None,
     ) -> "PageVertex":
-        """Build a view directly from in-memory arrays (in-memory mode)."""
+        """Build a view directly from arrays: the engine's per-list
+        delivery slices each list out of its wave's decoded edges."""
         view = cls.__new__(cls)
         view._vertex_id = int(vertex_id)
         view._edges = np.asarray(edges, dtype=np.uint32)

@@ -77,8 +77,8 @@ class Observer:
         self.query_spans: List[dict] = []
         #: Stats collector fed with histograms/gauges (set by :func:`arm`).
         self.stats = None
-        #: Io-span ids of the last ``submit_spans`` call, for the engine
-        #: fast path to link elements to their merged span.
+        #: Io-span ids of the last ``submit_spans`` call, for the engine's
+        #: wave service to link elements to their merged span.
         self.last_io_ids: Optional[List[int]] = None
         #: Active query span context (``{"query", "tenant", "app"}``),
         #: set by :class:`~repro.core.engine.EngineJob` around each step
@@ -265,7 +265,9 @@ class Observer:
         self._recovery_depth -= 1
 
     def request_event(self, context, issued: float, done: float, io_id: int) -> None:
-        """One engine-level request element completed."""
+        """One request element completed on the reference object path
+        (:meth:`SAFS.submit_merged`); the engine uses
+        :meth:`request_events`."""
         record = {
             "type": "request",
             "io": int(io_id),
@@ -284,19 +286,21 @@ class Observer:
             ) else _jsonable(context)
         self.request_spans.append(self._tag_query(record))
 
-    def request_events_batch(
-        self, vertices, directions, io_ids, issued: float, times
+    def request_events(
+        self, vertices, directions, kinds, targets, io_ids, issued: float, times
     ) -> None:
-        """Vectorized twin of :meth:`request_event` for the fast path.
+        """One wave's request elements, in arrival order.
 
-        ``vertices``/``directions``/``io_ids``/``times`` are parallel
-        sequences in delivery order; the fast path serves only
-        self-requests for edges, so vertex == target and kind is fixed.
+        The engine's wave service emits every element through this call:
+        ``vertices`` (requesters), ``directions``, ``kinds`` (``"edges"``
+        or ``"attrs"``), ``targets``, ``io_ids`` (the merged span that
+        served the element) and ``times`` (its completion) are parallel
+        sequences, and ``issued`` is the time the wave was issued.
         """
         append = self.request_spans.append
         tag = self._tag_query
-        for vertex, direction, io_id, done in zip(
-            vertices, directions, io_ids, times
+        for vertex, direction, kind, target, io_id, done in zip(
+            vertices, directions, kinds, targets, io_ids, times
         ):
             append(
                 tag({
@@ -306,8 +310,8 @@ class Observer:
                     "done": float(done),
                     "vertex": int(vertex),
                     "direction": _jsonable(direction),
-                    "kind": "edges",
-                    "target": int(vertex),
+                    "kind": kind,
+                    "target": int(target),
                 })
             )
 

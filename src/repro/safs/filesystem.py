@@ -3,12 +3,18 @@
 Responsibilities:
 
 - file namespace (create/open of simulated on-SSD files),
-- the asynchronous submit path: requests in, :class:`CompletedTask`s out,
-  in completion order, with CPU issue costs accounted,
-- both merge disciplines used by the Figure 12 ablation — requests merged
-  by the caller (FlashGraph's engine-level merging) or merged here within a
-  bounded queue window at kernel-like CPU cost (filesystem/block-level
-  merging).
+- the asynchronous submit path: merged page spans in, one completion time
+  per span out, with CPU issue costs accounted (:meth:`SAFS.submit_spans`),
+- the pricing of both merge disciplines used by the Figure 12 ablation —
+  requests merged by the caller over the whole wave (FlashGraph's
+  engine-level merging), or merged within a bounded queue window (or not
+  at all) behind the kernel path, which costs extra CPU per request
+  (filesystem/block-level merging).
+
+The object API (:meth:`SAFS.submit_merged` / :meth:`SAFS.submit` over
+:class:`~repro.safs.io_request.IORequest` objects) is the reference
+implementation of the same arithmetic; the property tests compare the
+span path against it.
 """
 
 from dataclasses import dataclass
@@ -144,8 +150,10 @@ class SAFS:
     def submit_merged(
         self, merged: Sequence[MergedRequest], issue_time: float
     ) -> Tuple[List[CompletedTask], float]:
-        """Issue pre-merged requests (engine-level merging).
+        """Issue pre-merged requests (reference implementation).
 
+        The engine issues through :meth:`submit_spans`; this object form
+        is kept as the reference the equivalence tests compare against.
         Requests are issued back-to-back: each one's device arrival time
         includes the CPU spent issuing its predecessors, modelling a worker
         thread pushing its batch into SAFS.  Returns the completions of
@@ -185,16 +193,30 @@ class SAFS:
         spans: MergedSpans,
         files: Dict[int, "SAFSFile"],
         issue_time: float,
+        kernel_requests: int = 0,
     ) -> Tuple[np.ndarray, float]:
-        """Array twin of :meth:`submit_merged` (engine fast path).
+        """Issue merged spans; the engine's one submit path.
 
-        Issues the merged spans back-to-back exactly as
-        :meth:`submit_merged` would issue the equivalent
-        :class:`MergedRequest` list — same cursor arithmetic, same device
-        submissions, same counters — but returns one completion time per
-        *span* and leaves fan-out to constituent requests to the caller,
-        which holds the wave as arrays and never built request objects.
+        Issues the spans back-to-back exactly as :meth:`submit_merged`
+        would issue the equivalent :class:`MergedRequest` list — same
+        cursor arithmetic, same device submissions, same counters — but
+        returns one completion time per *span* and leaves fan-out to
+        constituent requests to the caller, which holds the wave as
+        arrays and never builds request objects.
+
+        ``kernel_requests`` counts the raw requests that reached SAFS
+        through the kernel path (filesystem-level merging or no merging,
+        the Figure 12 counterfactuals, as in :meth:`submit`): each pays
+        the kernel-path CPU premium before the first span issues, and
+        the premium is part of the returned CPU cost.
         """
+        extra_cpu = 0.0
+        if kernel_requests:
+            cm = self.cost_model
+            extra_cpu = kernel_requests * (
+                cm.cpu_per_io_request_kernel - cm.cpu_per_io_request
+            )
+            issue_time = issue_time + extra_cpu
         cursor = issue_time
         total_cpu = 0.0
         obs = self.obs
@@ -223,6 +245,9 @@ class SAFS:
             completions[i] = done
         self.stats.add(reg.IO_REQUESTS_ISSUED, spans.num_spans)
         self.stats.add(reg.IO_CPU_ISSUE_TIME, total_cpu)
+        if kernel_requests:
+            self.stats.add(reg.IO_CPU_ISSUE_TIME, extra_cpu)
+            total_cpu = total_cpu + extra_cpu
         return completions, total_cpu
 
     def submit(
@@ -231,7 +256,9 @@ class SAFS:
         issue_time: float,
         fs_merge: bool = True,
     ) -> Tuple[List[CompletedTask], float]:
-        """Issue raw, unmerged requests (the Figure 12 counterfactual).
+        """Issue raw, unmerged requests (reference implementation of the
+        Figure 12 counterfactual; the engine passes ``kernel_requests`` to
+        :meth:`submit_spans` instead).
 
         Each incoming request costs kernel-path CPU; with ``fs_merge`` the
         filesystem merges adjacent requests, but only within its bounded

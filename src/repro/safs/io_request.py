@@ -20,9 +20,10 @@ from repro.safs.user_task import UserTask
 class IORequest:
     """A read of ``[offset, offset + length)`` from ``file``.
 
-    Carries the SAFS user task to run on completion.  Requests are
-    created by the engine on behalf of vertex programs that called
-    ``request_vertices``.
+    Carries the SAFS user task to run on completion.  The engine holds
+    its waves as parallel arrays instead (see
+    :func:`merge_request_arrays`); request objects are the reference
+    form the equivalence tests build.
     """
 
     file: SAFSFile
@@ -87,6 +88,11 @@ def merge_requests(
 ) -> List[MergedRequest]:
     """Merge ``requests`` under FlashGraph's conservative rule.
 
+    This object form is the reference implementation and is no longer on
+    the engine's path: the engine merges every wave with
+    :func:`merge_request_arrays`, which the property tests compare
+    against this function, windowed forms included.
+
     Requests are sorted by ``(file, offset)`` and joined while the next
     request starts within ``adjacency_gap`` pages of the current span's
     last page — the default ``1`` means "same page or adjacent page", a
@@ -138,8 +144,9 @@ class MergedSpans:
 
     ``order`` is the stable ``(file, offset)`` permutation of the input
     elements; ``span_of_part[i]`` maps sorted element ``i`` to its span.
-    The object-based :func:`merge_requests` remains the reference
-    implementation — the property tests assert span-for-span agreement.
+    This is the form the engine issues; the object-based
+    :func:`merge_requests` remains the reference implementation — the
+    property tests assert span-for-span agreement.
     """
 
     #: File id of each span.

@@ -437,6 +437,11 @@ class IOScheduler:
     def dispatch(self, merged: MergedRequest, issue_time: float) -> Tuple[float, float, bool]:
         """Service one merged request issued at ``issue_time``.
 
+        Reference implementation: the engine's path is
+        :meth:`dispatch_span` (through :meth:`SAFS.submit_spans`); this
+        object form stays for the equivalence tests, which compare the
+        two span for span.
+
         Returns ``(completion_time, cpu_cost, full_hit)``:
 
         - ``completion_time`` — when every page of the span is in the cache,

@@ -1,10 +1,11 @@
 """Batched-vs-scalar engine equivalence.
 
 Stripping the batch hooks off a program must leave every simulated number
-— worker clocks included — bit-identical, across execution modes and
-merge disciplines (the non-engine-merge discipline exercises the
-expansion fallback rather than the array fast path), edge-list formats
-and a faulty array.
+— worker clocks included — bit-identical, across execution modes, all
+three merge disciplines (engine merging, filesystem merging, no
+merging), edge-list formats and a faulty array.  Both forms run through
+the engine's one wave service; only the delivery differs
+(``run_on_vertices`` per wave or ``run_on_vertex`` per list).
 """
 
 from contextlib import contextmanager
@@ -18,6 +19,8 @@ from repro.algorithms.kcore import KCoreProgram
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.scc import _ClaimProgram, _ColorProgram, scc
 from repro.algorithms.wcc import WCCProgram
+from repro.bench.datasets import load_dataset
+from repro.bench.harness import make_engine
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
 from repro.core.vertex_program import VertexProgram
@@ -25,6 +28,7 @@ from repro.graph.builder import build_directed, build_undirected
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 from repro.graph.page_vertex import PageVertexBatch
+from repro.obs import arm
 from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.safs.page import SAFSFile
 from repro.sim.faults import FaultPlan, FaultPolicy, TransientErrors
@@ -94,9 +98,14 @@ def _state_of(name, program):
     return program.level
 
 
-def _engine(image, mode, merge_in_engine, fault_plan=None):
+def _engine(image, mode, merge_in_engine, fault_plan=None, merge_in_fs=True):
     SAFSFile._next_id = 0
-    config = EngineConfig(mode=mode, num_threads=4, merge_in_engine=merge_in_engine)
+    config = EngineConfig(
+        mode=mode,
+        num_threads=4,
+        merge_in_engine=merge_in_engine,
+        merge_in_fs=merge_in_fs,
+    )
     if fault_plan is None:
         return GraphEngine(image, config=config)
     array = SSDArray(SSDArrayConfig(), fault_plan=fault_plan)
@@ -109,9 +118,11 @@ def _engine(image, mode, merge_in_engine, fault_plan=None):
     return GraphEngine(image, safs=safs, config=config)
 
 
-def _run(name, image, mode, merge_in_engine, batched, fault_plan=None):
+def _run(
+    name, image, mode, merge_in_engine, batched, fault_plan=None, merge_in_fs=True
+):
     """One run of ``name``; returns ``(result, output array, program)``."""
-    engine = _engine(image, mode, merge_in_engine, fault_plan)
+    engine = _engine(image, mode, merge_in_engine, fault_plan, merge_in_fs)
     if name == "bc":
         source = _source(image)
         if batched:
@@ -148,30 +159,47 @@ def _assert_identical(batched, scalar):
     np.testing.assert_array_equal(batched_state, scalar_state)
 
 
+def _mode(mode, merge_in_engine, merge_in_fs=True):
+    """One MODES row; rows with filesystem merging keep the
+    ``<mode>-<merge_in_engine>`` test ids they had as two-field rows."""
+    suffix = "" if merge_in_fs else "-no-merge"
+    return pytest.param(
+        mode, merge_in_engine, merge_in_fs, id=f"{mode}-{merge_in_engine}{suffix}"
+    )
+
+
+#: (mode, merge_in_engine, merge_in_fs): engine merging, filesystem
+#: merging, no merging (Figure 12's ``seq-exec-no-merge``), in memory.
 MODES = [
-    (ExecutionMode.SEMI_EXTERNAL, True),
-    (ExecutionMode.SEMI_EXTERNAL, False),
-    (ExecutionMode.IN_MEMORY, True),
+    _mode(ExecutionMode.SEMI_EXTERNAL, True),
+    _mode(ExecutionMode.SEMI_EXTERNAL, False),
+    _mode(ExecutionMode.SEMI_EXTERNAL, False, merge_in_fs=False),
+    _mode(ExecutionMode.IN_MEMORY, True),
 ]
 
 
 @pytest.mark.parametrize("name", ["pr", "wcc", "kcore"])
-@pytest.mark.parametrize("mode,merge_in_engine", MODES)
-def test_batched_equals_scalar(name, mode, merge_in_engine):
+@pytest.mark.parametrize("mode,merge_in_engine,merge_in_fs", MODES)
+def test_batched_equals_scalar(name, mode, merge_in_engine, merge_in_fs):
     image = _image(undirected=(name == "kcore"))
     _assert_identical(
-        _run(name, image, mode, merge_in_engine, True),
-        _run(name, image, mode, merge_in_engine, False),
+        _run(name, image, mode, merge_in_engine, True, merge_in_fs=merge_in_fs),
+        _run(name, image, mode, merge_in_engine, False, merge_in_fs=merge_in_fs),
     )
 
 
 @pytest.mark.parametrize("fmt", [FORMAT_V1, FORMAT_V2])
 @pytest.mark.parametrize("name", ["bfs", "do-bfs", "bc", "scc"])
-@pytest.mark.parametrize("mode,merge_in_engine", MODES)
-def test_traversal_batched_equals_scalar(name, mode, merge_in_engine, fmt):
+@pytest.mark.parametrize("mode,merge_in_engine,merge_in_fs", MODES)
+def test_traversal_batched_equals_scalar(
+    name, mode, merge_in_engine, merge_in_fs, fmt
+):
     image = _image(fmt=fmt)
-    batched = _run(name, image, mode, merge_in_engine, True)
-    _assert_identical(batched, _run(name, image, mode, merge_in_engine, False))
+    batched = _run(name, image, mode, merge_in_engine, True, merge_in_fs=merge_in_fs)
+    _assert_identical(
+        batched,
+        _run(name, image, mode, merge_in_engine, False, merge_in_fs=merge_in_fs),
+    )
     if name == "do-bfs":
         # The frontier must have crossed the threshold, or the bottom-up
         # hooks were never compared.
@@ -194,6 +222,36 @@ def test_traversal_batched_equals_scalar_under_faults(name):
     scalar = _run(name, image, ExecutionMode.SEMI_EXTERNAL, True, False, plan)
     _assert_identical(batched, scalar)
     assert batched[0].counters.get("faults.retries", 0) > 0
+
+
+@pytest.mark.parametrize("name", ["bfs", "bc"])
+def test_armed_batched_and_scalar_record_identical_request_spans(name):
+    """Both forms share one request-event definition: every element is
+    stamped with its wave's issue time and the span that served it.
+    ``page-sim`` waves span many non-adjacent pages, so a per-span issue
+    cursor would tell the forms apart."""
+    image = load_dataset("page-sim")
+    source = _source(image)
+    spans = []
+    for batched in (True, False):
+        SAFSFile._next_id = 0
+        engine = make_engine(image, num_threads=4)
+        observer = arm(engine)
+        if name == "bfs":
+            program = BFSProgram(image.num_vertices)
+            if not batched:
+                _strip_batch_hooks(program)
+            engine.run(program, initial_active=np.asarray([source]))
+        elif batched:
+            betweenness_centrality(engine, source)
+        else:
+            with _stripped(_ForwardProgram, _BackwardProgram):
+                betweenness_centrality(engine, source)
+        spans.append((observer.request_spans, observer.io_spans))
+    (batched_requests, batched_io), (scalar_requests, scalar_io) = spans
+    assert len({r["issued"] for r in batched_requests}) < len(batched_io)
+    assert batched_requests == scalar_requests
+    assert batched_io == scalar_io
 
 
 def test_stripped_restores_class_hooks():

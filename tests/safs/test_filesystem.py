@@ -1,9 +1,10 @@
 """Integration tests for the SAFS facade and I/O scheduler."""
 
+import numpy as np
 import pytest
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.io_request import IORequest, merge_requests
+from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
 from repro.safs.user_task import UserTask
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
@@ -151,6 +152,43 @@ class TestMergeDisciplines:
                 _, cpu = safs.submit(requests, 0.0, fs_merge=True)
             stats_cost[mode] = cpu
         assert stats_cost["engine"] < stats_cost["fs"]
+
+    @pytest.mark.parametrize("fs_merge", [True, False])
+    def test_kernel_priced_spans_match_submit(self, fs_merge):
+        # The engine issues the counterfactual disciplines as windowed
+        # array spans priced with ``kernel_requests``; that must replay
+        # the object path of ``submit`` exactly.
+        rng = np.random.default_rng(4)
+        pages = rng.permutation(160)[:100]
+        offsets = pages * PAGE + rng.integers(0, PAGE // 2, pages.size)
+        lengths = rng.integers(1, PAGE, pages.size)
+        outcomes = []
+        for array_path in (False, True):
+            safs = make_safs(cache_pages=8)
+            file = safs.create_file("f", bytes(PAGE * 160))
+            if array_path:
+                window = safs.config.fs_merge_window if fs_merge else 1
+                spans = merge_request_arrays(
+                    np.full(pages.size, file.file_id), offsets, lengths, PAGE,
+                    window=window,
+                )
+                span_done, cpu = safs.submit_spans(
+                    spans, {file.file_id: file}, 0.5, kernel_requests=pages.size
+                )
+                done = span_done[spans.span_of_part]
+                by_time = np.argsort(done, kind="stable")
+                arrivals = spans.order[by_time].tolist()
+                times = done[by_time].tolist()
+            else:
+                requests = [
+                    IORequest(file, int(o), int(n), UserTask(context=i))
+                    for i, (o, n) in enumerate(zip(offsets, lengths))
+                ]
+                completions, cpu = safs.submit(requests, 0.5, fs_merge=fs_merge)
+                arrivals = [c.request.task.context for c in completions]
+                times = [c.completion_time for c in completions]
+            outcomes.append((arrivals, times, cpu, safs.stats.snapshot()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestPageSizes:
