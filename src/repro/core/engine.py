@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.config import EngineConfig, ExecutionMode, PartitionStrategy, ScheduleOrder
 from repro.core.execution import make_execution_policy
 from repro.core.memory_mode import InMemoryEdgeStore
-from repro.core.messages import MessageBuffer
+from repro.core.messages import MessageBuffer, check_vertex_ids
 from repro.core.partition import HashPartitioner, RangePartitioner, split_into_parts
 from repro.core.scheduler import make_scheduler
 from repro.core.vertex_program import GraphContext, VertexProgram
@@ -447,7 +447,7 @@ class GraphEngine:
         if self.config.mode is ExecutionMode.SEMI_EXTERNAL:
             self._ensure_files_attached()
         self.program = program
-        self._messages = MessageBuffer(program.combiner)
+        self._messages = MessageBuffer(program.combiner, self.image.num_vertices)
         base = self.stats.snapshot()
         if (
             self.config.mode is ExecutionMode.SEMI_EXTERNAL
@@ -469,6 +469,7 @@ class GraphEngine:
             frontier = np.arange(self.image.num_vertices, dtype=np.int64)
         else:
             frontier = np.unique(np.atleast_1d(np.asarray(initial_active, dtype=np.int64)))
+            check_vertex_ids(frontier, self.image.num_vertices, "initial active vertex")
         self.iteration = 0
         self._peak_messages = 0
         policy = make_execution_policy(self.config)
@@ -741,63 +742,8 @@ class GraphEngine:
     # ------------------------------------------------------------------
 
     def _run_iteration(self, frontier: np.ndarray, scheduler) -> None:
-        config = self.config
-        start = max((w.time for w in self._workers), default=0.0)
-        for worker in self._workers:
-            worker.time = start
-        queues = self.partitioner.split(frontier)
-        for worker, queue in zip(self._workers, queues):
-            worker.queue = scheduler.schedule(queue, self.iteration)
-            worker.pos = 0
-        self.stats.add(reg.ENGINE_ACTIVE_VERTICES, frontier.size)
-        obs = self.obs
-        if obs is not None:
-            obs.begin_iteration(
-                self.iteration, int(frontier.size), start, self._workers
-            )
-
-        # A batch is atomic in the simulation, so cap it at a quarter of
-        # the thread's queue: real FlashGraph steals at vertex granularity
-        # from a still-running thread (§3.8.1), which a whole-queue batch
-        # would make impossible here.
-        largest_queue = max((w.remaining for w in self._workers), default=0)
-        batch_size = min(
-            config.max_running_vertices, max(1, largest_queue // 4)
-        )
-        while True:
-            worker = self._pick_worker()
-            if worker is None:
-                break
-            if worker.remaining:
-                self._process_batch(worker, worker.take(batch_size), stolen=False)
-            elif self._part_queue:
-                requester, targets, direction, with_attrs = self._part_queue.popleft()
-                self._process_part(worker, requester, targets, direction, with_attrs)
-            else:
-                victim = max(self._workers, key=lambda w: w.remaining)
-                stolen = victim.steal_from_tail(
-                    min(batch_size, max(1, victim.remaining // 2))
-                )
-                if stolen.size == 0:
-                    break
-                self.stats.add(reg.ENGINE_STOLEN_VERTICES, stolen.size)
-                if self.numa.is_remote(worker.index, victim.index):
-                    self.stats.add(reg.NUMA_REMOTE_STEALS, stolen.size)
-                self._process_batch(
-                    worker, stolen, stolen=True, victim=victim.index
-                )
-
-        self._deliver_messages()
-        if self._iteration_end_requested:
-            self._iteration_end_requested = False
-            self._current = self._workers[0]
-            self.program.run_on_iteration_end(self._ctx)
-            self._charge(self.cost_model.cpu_per_vertex_run)
-        barrier = max(w.time for w in self._workers) + self.cost_model.iteration_barrier
-        for worker in self._workers:
-            worker.time = barrier
-        if obs is not None:
-            obs.end_iteration(barrier, self._workers, self)
+        """One sync BSP superstep: messages deliver at the barrier."""
+        self._superstep(frontier, scheduler, None, None)
 
     def _run_round(
         self, frontier: np.ndarray, scheduler, priorities: np.ndarray
@@ -812,16 +758,31 @@ class GraphEngine:
         thread to fill its buffer flushes) instead of waiting for the
         barrier, so receivers fold fresh state in mid-round and each
         round propagates further than a BSP superstep would.
-        Only async runs enter here; the sync path is untouched.
+        Only async runs enter here.
         """
-        config = self.config
+        self._superstep(
+            frontier, scheduler, priorities, self.config.message_flush_threshold
+        )
+
+    def _superstep(
+        self,
+        frontier: np.ndarray,
+        scheduler,
+        priorities: Optional[np.ndarray],
+        flush_at: Optional[int],
+    ) -> None:
+        """The body shared by sync iterations and async rounds:
+        ``priorities`` (async) orders the worker queues and ``flush_at``
+        (async) arms eager message delivery."""
         start = max((w.time for w in self._workers), default=0.0)
         for worker in self._workers:
             worker.time = start
         queues = self.partitioner.split(frontier)
         for worker, queue in zip(self._workers, queues):
             worker.queue = scheduler.schedule(
-                queue, self.iteration, priorities=priorities[queue]
+                queue,
+                self.iteration,
+                priorities=None if priorities is None else priorities[queue],
             )
             worker.pos = 0
         self.stats.add(reg.ENGINE_ACTIVE_VERTICES, frontier.size)
@@ -831,24 +792,31 @@ class GraphEngine:
                 self.iteration, int(frontier.size), start, self._workers
             )
 
+        # A batch is atomic in the simulation, so cap it at a quarter of
+        # the thread's queue: real FlashGraph steals at vertex granularity
+        # from a still-running thread (§3.8.1), which a whole-queue batch
+        # would make impossible here.
         largest_queue = max((w.remaining for w in self._workers), default=0)
         batch_size = min(
-            config.max_running_vertices, max(1, largest_queue // 4)
+            self.config.max_running_vertices, max(1, largest_queue // 4)
         )
-        flush_at = config.message_flush_threshold
+        # Each step serves the first worker with the smallest clock: its
+        # own queue first, then the shared part queue, then half of the
+        # fullest queue (work stealing, §3.8.1).
         while True:
-            worker = self._pick_worker()
-            if worker is None:
+            picked = self._pick_worker()
+            if picked is None:
                 break
-            if worker.remaining:
+            worker, remaining = picked
+            if remaining:
                 self._process_batch(worker, worker.take(batch_size), stolen=False)
             elif self._part_queue:
                 requester, targets, direction, with_attrs = self._part_queue.popleft()
                 self._process_part(worker, requester, targets, direction, with_attrs)
             else:
-                victim = max(self._workers, key=lambda w: w.remaining)
+                victim, victim_remaining = self._steal_victim()
                 stolen = victim.steal_from_tail(
-                    min(batch_size, max(1, victim.remaining // 2))
+                    min(batch_size, max(1, victim_remaining // 2))
                 )
                 if stolen.size == 0:
                     break
@@ -858,7 +826,7 @@ class GraphEngine:
                 self._process_batch(
                     worker, stolen, stolen=True, victim=victim.index
                 )
-            if self._messages.flush_due(flush_at):
+            if flush_at is not None and self._messages.flush_due(flush_at):
                 self.stats.add(reg.ENGINE_EAGER_FLUSHES)
                 self._deliver_messages()
 
@@ -874,20 +842,38 @@ class GraphEngine:
         if obs is not None:
             obs.end_iteration(barrier, self._workers, self)
 
-    def _pick_worker(self) -> Optional[_Worker]:
-        work_exists = any(w.remaining for w in self._workers) or self._part_queue
-        if not work_exists:
-            return None
+    def _pick_worker(self) -> Optional[Tuple[_Worker, int]]:
+        """The next worker to step and its queued-vertex count, or
+        ``None`` once no queue or part holds work.
+
+        The pick is the first eligible worker with the smallest clock.  A
+        worker with queued vertices is always eligible; every worker is
+        while parts wait or, under load balancing, while any work exists
+        (an idle one steals).  Each queue length is read once per pick."""
+        part_waiting = bool(self._part_queue)
+        everyone = part_waiting or self.config.load_balance
+        work_exists = part_waiting
         best: Optional[_Worker] = None
+        best_remaining = 0
         for worker in self._workers:
-            eligible = (
-                worker.remaining
-                or self._part_queue
-                or (self.config.load_balance and work_exists)
-            )
-            if eligible and (best is None or worker.time < best.time):
+            remaining = len(worker.queue) - worker.pos
+            if remaining:
+                work_exists = True
+            if (remaining or everyone) and (best is None or worker.time < best.time):
                 best = worker
-        return best
+                best_remaining = remaining
+        return (best, best_remaining) if work_exists else None
+
+    def _steal_victim(self) -> Tuple[_Worker, int]:
+        """The first worker with the most queued vertices, and that count."""
+        victim = self._workers[0]
+        most = len(victim.queue) - victim.pos
+        for worker in self._workers[1:]:
+            remaining = len(worker.queue) - worker.pos
+            if remaining > most:
+                victim = worker
+                most = remaining
+        return victim, most
 
     def _process_batch(
         self,
@@ -1341,6 +1327,7 @@ class GraphEngine:
             return np.zeros(0, dtype=np.int64)
         frontier = np.unique(np.concatenate(self._activations))
         self._activations.clear()
+        check_vertex_ids(frontier, self.image.num_vertices, "activated vertex")
         return frontier
 
     # ------------------------------------------------------------------

@@ -11,6 +11,12 @@ supports *combiners* (sum/min/max): logical messages are counted and
 charged individually, but deliveries to the same destination are combined
 before ``run_on_message`` fires — the same trick Pregel-style systems use
 to keep buffers small.
+
+Combining is deterministic: one stable sort by *value* fixes the order in
+which each destination's messages accumulate, so the result depends on
+the message multiset only, never on send order.  No destination sort is
+needed — destinations are combined by direct indexing (``bincount`` for
+sums, ``ufunc.at`` for min/max).
 """
 
 from typing import List, Optional, Tuple
@@ -21,13 +27,38 @@ import numpy as np
 COMBINERS = ("sum", "min", "max")
 
 
+def check_vertex_ids(ids: np.ndarray, num_vertices: Optional[int], what: str) -> None:
+    """Raise ``ValueError`` if any of ``ids`` lies outside
+    ``[0, num_vertices)`` (``None``: no upper bound).  The message names
+    the smallest negative ID, else the largest too-large one; the check
+    is one min/max pass, so callers run it once per drained batch."""
+    if ids.size == 0:
+        return
+    low = int(ids.min())
+    high = int(ids.max())
+    if low < 0:
+        bad = low
+    elif num_vertices is not None and high >= num_vertices:
+        bad = high
+    else:
+        return
+    raise ValueError(
+        f"{what} {bad} is out of range for a graph of num_vertices={num_vertices}"
+    )
+
+
 class MessageBuffer:
     """Accumulates one iteration's messages until the barrier delivery."""
 
-    def __init__(self, combiner: Optional[str] = None) -> None:
+    def __init__(
+        self, combiner: Optional[str] = None, num_vertices: Optional[int] = None
+    ) -> None:
         if combiner is not None and combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {combiner!r}; pick from {COMBINERS}")
         self.combiner = combiner
+        #: Exclusive upper bound on destination IDs (``None``: unbounded);
+        #: :meth:`deliver` rejects destinations outside ``[0, num_vertices)``.
+        self.num_vertices = num_vertices
         self._dest_chunks: List[np.ndarray] = []
         self._value_chunks: List[np.ndarray] = []
         self._pending = 0
@@ -66,8 +97,8 @@ class MessageBuffer:
         reaches ``threshold`` instead of waiting for the round barrier —
         the same per-thread flush rule real FlashGraph applies at
         ``message_flush_threshold`` messages (§3.4.1).  Delivery itself
-        still goes through :meth:`deliver`, whose canonical
-        ``(dest, value)`` sort keeps accumulation deterministic no
+        still goes through :meth:`deliver`, whose stable value sort
+        keeps each destination's accumulation order deterministic no
         matter how often the buffer is drained.
         """
         return self._pending >= threshold > 0
@@ -85,6 +116,8 @@ class MessageBuffer:
         into delivery ``i`` (the receiver is charged per logical message).
         With no combiner, messages to the same destination stay separate
         (``dests`` may repeat, grouped and sorted; counts are all 1).
+        Raises ``ValueError`` on a destination outside
+        ``[0, num_vertices)``.
         """
         if not self._dest_chunks:
             empty = np.zeros(0, dtype=np.int64)
@@ -94,30 +127,36 @@ class MessageBuffer:
         self._dest_chunks.clear()
         self._value_chunks.clear()
         self._pending = 0
-        # Canonical delivery order: sort by (destination, value) so the
+        check_vertex_ids(dests, self.num_vertices, "message destination")
+        if self.combiner is None:
+            order = np.lexsort((values, dests))
+            return dests[order], values[order], np.ones(dests.size, dtype=np.int64)
+        # Canonical accumulation order: each destination folds its
+        # messages in ascending value order (ties in send order), so the
         # combined result is a function of the message *multiset* only.
         # Buffered sends arrive in completion order, which device faults
         # (and their retries) legitimately perturb — without a canonical
-        # accumulation order, float sums would differ in the last bits
-        # between a fault-free run and a recovered one.
-        order = np.lexsort((values, dests))
-        dests = dests[order]
-        values = values[order]
-        if self.combiner is None:
-            return dests, values, np.ones(dests.size, dtype=np.int64)
-        unique, inverse, counts = np.unique(
-            dests, return_inverse=True, return_counts=True
-        )
+        # order, float sums would differ in the last bits between a
+        # fault-free run and a recovered one.  One stable value sort is
+        # enough: grouping by destination never reorders the messages
+        # within a destination, and the per-destination folds below index
+        # by destination directly.
+        order = np.argsort(values, kind="stable")
+        ordered_dests = dests[order]
+        ordered_values = values[order]
+        counts = np.bincount(dests)
+        unique = np.flatnonzero(counts)
         if self.combiner == "sum":
-            out = np.zeros(unique.size)
-            np.add.at(out, inverse, values)
+            # ``out[d] += w`` in array order from 0.0: the same float
+            # operations as ``np.add.at`` over the same order.
+            out = np.bincount(ordered_dests, weights=ordered_values)
         elif self.combiner == "min":
-            out = np.full(unique.size, np.inf)
-            np.minimum.at(out, inverse, values)
+            out = np.full(counts.size, np.inf)
+            np.minimum.at(out, ordered_dests, ordered_values)
         else:  # max
-            out = np.full(unique.size, -np.inf)
-            np.maximum.at(out, inverse, values)
-        return unique, out, counts
+            out = np.full(counts.size, -np.inf)
+            np.maximum.at(out, ordered_dests, ordered_values)
+        return unique, out[unique], counts[unique]
 
     def restore_peak(self, peak: int) -> None:
         """Reinstate the peak-occupancy gauge from a checkpoint.

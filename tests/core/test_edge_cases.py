@@ -7,8 +7,9 @@ from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.triangle_count import triangle_count
 from repro.algorithms.wcc import wcc
-from repro.core.config import EngineConfig, ExecutionMode
+from repro.core.config import EngineConfig, ExecutionKind, ExecutionMode
 from repro.core.engine import GraphEngine
+from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed, build_undirected
 from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
@@ -146,3 +147,75 @@ class TestReuseAndIsolation:
         levels_b, _ = bfs(engine_b, source=1)
         assert levels_a.tolist() == [0, 1]
         assert levels_b.tolist() == [1, 0]
+
+
+class _Misroute(VertexProgram):
+    """Vertex 0 hands ``bad`` to one context call, once.
+
+    The plain calls fire from ``run``; the ``*_batch`` calls fire from a
+    ``run_on_vertices`` wave of vertex 0's own edge list.  Every vertex a
+    hook sees is recorded, so a test can assert that the bad ID never
+    reached the program."""
+
+    combiner = "sum"
+
+    def __init__(self, call, bad):
+        self.call = call
+        self.bad = bad
+        self.fired = False
+        self.seen = []
+
+    def run(self, g, vertex):
+        if vertex != 0 or self.fired:
+            return
+        if self.call == "send_message":
+            self.fired = True
+            g.send_message([self.bad], 1.0)
+        elif self.call == "activate":
+            self.fired = True
+            g.activate([self.bad])
+
+    def run_batch(self, g, vertices):
+        self.seen.extend(vertices.tolist())
+        if self.call.endswith("_batch") and not self.fired and 0 in vertices:
+            g.request_self_batch(np.asarray([0]))
+        else:
+            for vertex in vertices.tolist():
+                self.run(g, vertex)
+
+    def run_on_vertices(self, g, batch):
+        self.fired = True
+        if self.call == "send_message_batch":
+            g.send_message_batch(np.asarray([self.bad]), np.asarray([1.0]), [1])
+        else:
+            g.activate_batch(np.asarray([self.bad]), [1])
+
+    def run_on_message(self, g, vertex, value):
+        self.seen.append(vertex)
+
+    def residuals(self, vertices):
+        return np.full(vertices.size, 0.0 if self.fired else 1.0)
+
+
+class TestOutOfRangeVertexIds:
+    """Messages and activations to IDs outside ``[0, num_vertices)`` are
+    rejected at delivery / frontier drain, naming the ID and the bound."""
+
+    CALLS = ("send_message", "send_message_batch", "activate", "activate_batch")
+
+    @pytest.mark.parametrize("execution", [ExecutionKind.SYNC, ExecutionKind.ASYNC])
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    def test_rejected_with_id_and_bound(self, call, bad, execution):
+        image = build_directed(np.array([[0, 1], [1, 2], [2, 3]]), 4, name="path4")
+        engine = engine_for(image, range_shift=0, execution=execution)
+        program = _Misroute(call, bad)
+        with pytest.raises(ValueError, match=rf"{bad}\b.*num_vertices=4"):
+            engine.run(program, max_iterations=3)
+        assert program.fired
+        assert all(0 <= v < 4 for v in program.seen)
+
+    def test_initial_active_rejected(self):
+        image = build_directed(np.array([[0, 1]]), 2, name="pair")
+        with pytest.raises(ValueError, match="9 is out of range.*num_vertices=2"):
+            bfs(engine_for(image, range_shift=0), source=9)

@@ -5,7 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import MessageBuffer
+from repro.core.messages import COMBINERS, MessageBuffer
+
+
+def reference_deliver(combiner, dests, values):
+    """The former delivery, kept as the oracle: a global (dest, value)
+    lexsort, ``np.unique`` over the sorted destinations and ``ufunc.at``
+    into the compacted output.  ``MessageBuffer.deliver`` must match it
+    bit for bit."""
+    order = np.lexsort((values, dests))
+    dests = dests[order]
+    values = values[order]
+    if combiner is None:
+        return dests, values, np.ones(dests.size, dtype=np.int64)
+    unique, inverse, counts = np.unique(dests, return_inverse=True, return_counts=True)
+    if combiner == "sum":
+        out = np.zeros(unique.size)
+        np.add.at(out, inverse, values)
+    elif combiner == "min":
+        out = np.full(unique.size, np.inf)
+        np.minimum.at(out, inverse, values)
+    else:
+        out = np.full(unique.size, -np.inf)
+        np.maximum.at(out, inverse, values)
+    return unique, out, counts
 
 
 class TestSend:
@@ -139,3 +162,66 @@ class TestProperties:
         assert dests.tolist() == sorted(reference)
         for d, v in zip(dests, values):
             assert v == pytest.approx(reference[int(d)])
+
+
+#: Values that stress the canonical order: signed zeros, infinities, NaN
+#: and repeats (ties keep send order under the stable value sort).
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1])
+_VALUES = st.one_of(_EDGE_VALUES, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _send_sequences(draw):
+    """Multi-chunk send sequences in a random (permuted) order; each
+    chunk is a multicast scalar or an aligned value array."""
+    chunks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        size = draw(st.integers(min_value=1, max_value=12))
+        dests = draw(st.lists(st.integers(0, 15), min_size=size, max_size=size))
+        if draw(st.booleans()):
+            values = draw(_VALUES)
+        else:
+            values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+        chunks.append((np.asarray(dests, dtype=np.int64), values))
+    order = draw(st.permutations(range(len(chunks))))
+    return [chunks[i] for i in order]
+
+
+class TestReferenceOracle:
+    @given(
+        combiner=st.sampled_from((None,) + COMBINERS),
+        sends=_send_sequences(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_deliver_matches_reference_bit_for_bit(self, combiner, sends):
+        buf = MessageBuffer(combiner, num_vertices=16)
+        for dests, values in sends:
+            buf.send(dests, values)
+        all_dests = np.concatenate([d for d, _ in sends])
+        all_values = np.concatenate(
+            [np.broadcast_to(np.asarray(v, dtype=np.float64), d.shape) for d, v in sends]
+        )
+        with np.errstate(all="ignore"):
+            got = buf.deliver()
+            expected = reference_deliver(combiner, all_dests, all_values)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert np.array_equal(g.view(np.int64), e.view(np.int64))
+
+
+class TestDestinationRange:
+    @pytest.mark.parametrize("combiner", (None,) + COMBINERS)
+    @pytest.mark.parametrize("bad", [-1, 16, 99])
+    def test_out_of_range_destination_rejected(self, combiner, bad):
+        buf = MessageBuffer(combiner, num_vertices=16)
+        buf.send(np.array([3, bad, 5]), 1.0)
+        with pytest.raises(ValueError, match=rf"destination {bad} .*num_vertices=16"):
+            buf.deliver()
+
+    def test_unbounded_buffer_still_rejects_negative(self):
+        buf = MessageBuffer("sum")
+        buf.send(np.array([10**6]), 1.0)
+        assert buf.deliver()[0].tolist() == [10**6]
+        buf.send(np.array([-2]), 1.0)
+        with pytest.raises(ValueError, match="destination -2 "):
+            buf.deliver()

@@ -1,9 +1,12 @@
 """Unit tests for the engine's worker queue/steal mechanics."""
 
+from collections import deque
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.engine import _Worker
+from repro.core.engine import GraphEngine, _Worker
 
 
 class TestWorkerQueue:
@@ -57,3 +60,57 @@ class TestWorkerQueue:
             else:
                 seen.extend(worker.steal_from_tail(int(rng.integers(1, 8))).tolist())
         assert sorted(seen) == list(range(100))
+
+
+def _engine_stub(times, queue_sizes, parts=0, load_balance=False):
+    """Just enough engine state for worker selection: workers with the
+    given clocks and queue lengths (one vertex already taken from each
+    non-empty queue, so ``pos`` matters), a part queue and the config."""
+    workers = []
+    for index, (time, size) in enumerate(zip(times, queue_sizes)):
+        worker = _Worker(index)
+        worker.time = time
+        worker.queue = np.arange(size + 1 if size else 0)
+        worker.take(1)
+        workers.append(worker)
+    return SimpleNamespace(
+        _workers=workers,
+        _part_queue=deque(range(parts)),
+        config=SimpleNamespace(load_balance=load_balance),
+    )
+
+
+class TestWorkerSelection:
+    def test_pick_first_minimum_clock_among_workers_with_work(self):
+        stub = _engine_stub([2.0, 1.0, 1.0, 0.5], [3, 4, 5, 0])
+        worker, remaining = GraphEngine._pick_worker(stub)
+        # Worker 3 has the earliest clock but nothing queued; of the tied
+        # workers 1 and 2 the first wins.
+        assert (worker.index, remaining) == (1, 4)
+
+    def test_pick_none_without_work(self):
+        stub = _engine_stub([0.0, 1.0], [0, 0], load_balance=True)
+        assert GraphEngine._pick_worker(stub) is None
+
+    @pytest.mark.parametrize("parts, load_balance", [(1, False), (0, True)])
+    def test_idle_workers_eligible_for_parts_or_stealing(self, parts, load_balance):
+        stub = _engine_stub(
+            [2.0, 0.5, 0.5, 1.0], [3, 0, 0, 2], parts=parts, load_balance=load_balance
+        )
+        worker, remaining = GraphEngine._pick_worker(stub)
+        assert (worker.index, remaining) == (1, 0)
+
+    def test_idle_workers_ineligible_without_parts_or_balancing(self):
+        stub = _engine_stub([2.0, 0.5, 1.0], [3, 0, 2])
+        worker, remaining = GraphEngine._pick_worker(stub)
+        assert (worker.index, remaining) == (2, 2)
+
+    def test_steal_victim_first_maximum_remaining(self):
+        stub = _engine_stub([0.0, 0.0, 0.0, 0.0], [1, 6, 6, 2])
+        victim, remaining = GraphEngine._steal_victim(stub)
+        assert (victim.index, remaining) == (1, 6)
+
+    def test_steal_victim_all_empty_is_first_worker(self):
+        stub = _engine_stub([0.0, 0.0, 0.0], [0, 0, 0])
+        victim, remaining = GraphEngine._steal_victim(stub)
+        assert (victim.index, remaining) == (0, 0)
